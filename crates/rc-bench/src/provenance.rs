@@ -28,7 +28,8 @@ use rc_lang::interp::{run, Outcome};
 use rc_lang::{site_verdicts, RunConfig, SiteVerdict};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
-use region_rt::{Json, PtrKind, SpanNote, SpanTree, NO_CHECK_SITE};
+use region_rt::trace::check_kind_name;
+use region_rt::{Event, Json, SpanTree, NO_CHECK_SITE};
 
 use crate::report::Row;
 
@@ -99,15 +100,6 @@ pub struct TraceExport {
     pub end_cycles: u64,
 }
 
-fn kind_name(k: PtrKind) -> &'static str {
-    match k {
-        PtrKind::Counted => "counted",
-        PtrKind::SameRegion => "sameregion",
-        PtrKind::ParentPtr => "parentptr",
-        PtrKind::Traditional => "traditional",
-    }
-}
-
 /// Runs `workload` under `config` (with spans forced on) and assembles
 /// the provenance join.
 ///
@@ -137,14 +129,14 @@ pub fn collect(
     let coverage: Vec<SiteCoverageRow> = verdicts
         .iter()
         .map(|v| {
-            let fires = spans.site_fires(v.site);
+            let tally = spans.check_sites().get(v.site);
             SiteCoverageRow {
                 site: v.site,
                 line: v.line,
                 eliminated: v.safe,
                 reason: v.reason.clone(),
-                fires: fires.map_or(0, |f| f.fires),
-                fails: fires.map_or(0, |f| f.fails),
+                fires: tally.map_or(0, |f| f.runs),
+                fails: tally.map_or(0, |f| f.fails),
             }
         })
         .collect();
@@ -215,14 +207,14 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
 
     for n in x.spans.notes() {
         match *n {
-            SpanNote::Check { region, at, site, check_site, kind, passed, statically_safe } => {
+            Event::CheckRun { region, at, site, check_site, kind, passed, statically_safe } => {
                 let (line, reason) = match by_site.get(&check_site) {
                     Some(r) => (r.line, r.reason.as_str()),
                     None => (site, ""),
                 };
                 let verdict = if statically_safe { "eliminated" } else { "retained" };
                 events.push(Json::obj(vec![
-                    ("name", Json::S(format!("chk {}", kind_name(kind)))),
+                    ("name", Json::S(format!("chk {}", check_kind_name(kind)))),
                     ("cat", Json::s("check")),
                     ("ph", Json::s("i")),
                     ("s", Json::s("t")),
@@ -248,7 +240,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                                     Json::U(check_site as u64)
                                 },
                             ),
-                            ("kind", Json::s(kind_name(kind))),
+                            ("kind", Json::s(check_kind_name(kind))),
                             ("passed", Json::Bool(passed)),
                             ("verdict", Json::s(verdict)),
                             ("reason", Json::s(reason)),
@@ -256,7 +248,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     ),
                 ]));
             }
-            SpanNote::Gc { at, marked_words, swept_objects } => {
+            Event::GcCollection { at, marked_words, swept_objects } => {
                 events.push(Json::obj(vec![
                     ("name", Json::s("gc collection")),
                     ("cat", Json::s("gc")),
@@ -274,7 +266,7 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
                     ),
                 ]));
             }
-            SpanNote::Fault { at, plane, op } => {
+            Event::Fault { at, plane, op } => {
                 events.push(Json::obj(vec![
                     ("name", Json::S(format!("fault {}", plane.name()))),
                     ("cat", Json::s("fault")),
@@ -288,7 +280,8 @@ pub fn chrome_trace(x: &TraceExport) -> Json {
             }
             // Allocs and RC updates appear as exact aggregates in the
             // span args; raw instants for them would dwarf the trace.
-            SpanNote::Alloc { .. } | SpanNote::Rc { .. } => {}
+            // Lifecycle and audit events are never span notes.
+            _ => {}
         }
     }
 

@@ -4,10 +4,11 @@
 //! tracing must be observation-only, and the Figure 8 workloads must
 //! attribute their checks to concrete source lines.
 
-use rc_lang::interp::{run, Outcome};
+use rc_lang::interp::{run, run_audited, Outcome};
 use rc_lang::{CheckMode, RunConfig};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::Scale;
+use region_rt::Tracer;
 
 const SCALE: Scale = Scale::TINY;
 
@@ -38,18 +39,43 @@ fn folded_profile_totals_equal_stats_on_every_workload() {
 fn folded_totals_are_independent_of_ring_capacity() {
     let w = rc_workloads::by_name("lcc").expect("known workload");
     let c = prepare_workload(&w, SCALE);
-    let mut tiny = RunConfig::rc(CheckMode::Qs).traced();
-    tiny.trace_capacity = 16; // far fewer slots than events: the ring drops, the fold must not
-    let r = run(&c, &tiny);
+    let r = run(&c, &RunConfig::rc(CheckMode::Qs).traced());
     assert!(matches!(r.outcome, Outcome::Exit(_)), "{:?}", r.outcome);
-    let t = r.tracer.as_ref().expect("traced");
-    assert!(t.dropped() > 0, "capacity 16 must overflow on lcc");
-    assert_eq!(t.len(), 16);
-    assert_eq!(t.profile().totals.allocs, r.stats.objects_allocated);
+    let full = r.tracer.as_ref().expect("traced");
+    assert_eq!(full.dropped(), 0, "the default ring holds lcc's whole stream");
+    // Replay the run's stream into a ring with far fewer slots than
+    // events: the ring drops, the fold must not.
+    let mut tiny = Tracer::new(16);
+    for ev in full.events() {
+        tiny.record(*ev);
+    }
+    assert!(tiny.dropped() > 0, "capacity 16 must overflow on lcc");
+    assert_eq!(tiny.len(), 16);
+    assert_eq!(tiny.profile().totals, full.profile().totals);
+    assert_eq!(tiny.profile().totals.allocs, r.stats.objects_allocated);
     assert_eq!(
-        t.profile().totals.checks_sameregion + t.profile().totals.checks_parentptr,
+        tiny.profile().totals.checks_sameregion + tiny.profile().totals.checks_parentptr,
         r.stats.checks_sameregion + r.stats.checks_parentptr
     );
+}
+
+#[test]
+fn check_counting_exits_like_nq_under_every_check_regime() {
+    for w in rc_workloads::all() {
+        let c = prepare_workload(&w, SCALE);
+        let nq = run(&c, &RunConfig::rc(CheckMode::Nq));
+        assert!(matches!(nq.outcome, Outcome::Exit(_)), "{}: {:?}", w.name, nq.outcome);
+        for checks in [CheckMode::Qs, CheckMode::Inf] {
+            let counted = run_audited(&c, &RunConfig::rc(checks).counting_checks());
+            assert_eq!(
+                format!("{:?}", counted.outcome),
+                format!("{:?}", nq.outcome),
+                "{}: {checks:?} with check counting",
+                w.name
+            );
+            assert!(matches!(counted.audit, Some(Ok(()))), "{}: {checks:?}", w.name);
+        }
+    }
 }
 
 #[test]

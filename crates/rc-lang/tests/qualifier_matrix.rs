@@ -17,9 +17,11 @@
 //!   `check_failed`. Every violating row is also rerun under
 //!   `CheckMode::Nq` to confirm the failure really is the *qualifier*
 //!   check and not an unsafe deletion (the programs null the offending
-//!   field back out before teardown, so `nq` runs them to completion).
+//!   field back out before teardown, so `nq` runs them to completion),
+//!   and under `qs` with check counting, which must behave like `nq`
+//!   while tallying the failed check.
 
-use rc_lang::{prepare, run, CheckMode, Outcome, RunConfig};
+use rc_lang::{prepare, run, run_audited, CheckMode, Outcome, RunConfig};
 
 // ---------------------------------------------------------------------------
 // Static half: sema accept/reject.
@@ -460,6 +462,23 @@ fn violating_rows_pass_without_qualifier_checks() {
                 format!("exit:{code}"),
                 "{name}: violating program should still complete under nq"
             );
+        }
+    }
+}
+
+#[test]
+fn violating_rows_complete_under_qs_with_check_counting() {
+    // Counting mode evaluates every qualifier check but never aborts: it
+    // does the full count update instead, so each violating program
+    // completes like `nq`, audit-clean, with the failure tallied.
+    for (name, body, want) in DYNAMIC_MATRIX {
+        if let Dynamic::FailCheck(code) = want {
+            let compiled = prepare(&with_preamble(body)).expect("compiles");
+            let r = run_audited(&compiled, &RunConfig::rc(CheckMode::Qs).counting_checks());
+            assert_eq!(outcome_key(&r.outcome), format!("exit:{code}"), "{name}");
+            assert!(matches!(r.audit, Some(Ok(()))), "{name}: {:?}", r.audit);
+            let counts = r.check_counts.as_deref().expect("counting was on");
+            assert!(counts.total_fails() >= 1, "{name}: the violation must be tallied");
         }
     }
 }

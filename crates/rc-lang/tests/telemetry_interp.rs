@@ -5,7 +5,6 @@
 
 use rc_lang::interp::{prepare, run};
 use rc_lang::{CheckMode, RunConfig};
-use region_rt::mask;
 
 /// The paper's Figure 1 program (nested sameregion list), with known
 /// line numbers: the rallocs sit on lines 12 and 13, the annotated
@@ -124,17 +123,6 @@ int main() deletes {
     };
     let (d1, d2, d3) = (depth_of("r1"), depth_of("r2"), depth_of("r3"));
     assert!(d1 < d2 && d2 < d3, "nesting not reflected: {d1} {d2} {d3}\n{fg}");
-}
-
-#[test]
-fn masked_tracing_filters_event_kinds() {
-    let c = prepare(FIG1).unwrap();
-    let mut cfg = RunConfig::rc(CheckMode::Qs);
-    cfg.trace_mask = mask::CHECK_RUN;
-    let r = run(&c, &cfg);
-    let t = r.tracer.as_ref().unwrap();
-    assert!(t.recorded() > 0);
-    assert_eq!(r.profile().unwrap().totals.allocs, 0, "alloc events masked out");
 }
 
 #[test]

@@ -201,18 +201,8 @@ impl Heap {
         self.stats.objects_allocated += 1;
         self.stats.words_allocated += words as u64;
         self.stats.add_live(words as u64);
-        if self.trace_on(crate::trace::mask::ALLOC) {
-            // GC pages report the traditional region, like malloc's.
-            let ev = crate::trace::Event::Alloc {
-                region: crate::region::TRADITIONAL.0,
-                site: self.trace_site,
-                words: words as u32,
-            };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_alloc(crate::region::TRADITIONAL.0, words as u32);
-        }
+        // GC pages report the traditional region, like malloc's.
+        self.emit_alloc(crate::region::TRADITIONAL, words);
         self.sample_tick();
         Ok(addr)
     }
@@ -290,16 +280,11 @@ impl Heap {
         self.stats.gc_collections += 1;
         self.stats.gc_marked_words += marked_words;
         self.stats.gc_swept_objects += reclaimed as u64;
-        if self.trace_on(crate::trace::mask::GC_COLLECTION) {
-            let ev = crate::trace::Event::GcCollection {
-                marked_words,
-                swept_objects: reclaimed as u64,
-            };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_gc(marked_words, reclaimed as u64);
-        }
+        self.emit(|h| crate::trace::Event::GcCollection {
+            marked_words,
+            swept_objects: reclaimed as u64,
+            at: h.clock.cycles(),
+        });
         // The gauge tracks requested words on both sides of an object's
         // lifetime, so the identity live_words == region + malloc + gc
         // requested words holds exactly (snapshots verify it).

@@ -18,7 +18,7 @@ use crate::page::{PageOwner, PageStore};
 use crate::region::{renumber, renumber_gapped, RegionData, RegionId, TRADITIONAL};
 use crate::stats::Stats;
 use crate::timeline::{occupancy_bucket, HeapGauges, Timeline};
-use crate::trace::{mask, Event, Tracer};
+use crate::trace::{Event, Sinks, Tracer};
 
 /// How the region hierarchy is numbered for the `parentptr` interval
 /// check.
@@ -101,18 +101,17 @@ pub struct Heap {
     pub clock: Clock,
     /// Cost constants (public so ablations can tweak before running).
     pub costs: CostModel,
-    /// Enabled telemetry event kinds (a copy of the tracer's mask, kept
-    /// inline so disabled emission sites cost a single branch).
-    pub(crate) trace_mask: u32,
-    /// The attached event recorder, if tracing is enabled.
-    pub(crate) tracer: Option<Box<Tracer>>,
+    /// [`sink`](crate::trace::sink) bits of the attached event-stream
+    /// consumers, kept inline so a hook site with every sink off costs a
+    /// single branch.
+    pub(crate) sink_mask: u32,
+    /// The attached telemetry: event-stream consumers and the timeline.
+    pub(crate) sinks: Sinks,
     /// Current source line for event attribution (0 = unattributed).
     pub(crate) trace_site: u32,
     /// Ticks until the next timeline sample; 0 means sampling is off, so
     /// the hot-path guard in [`Heap::sample_tick`] is one compare.
     pub(crate) sample_countdown: u64,
-    /// The attached timeline sampler, if sampling is enabled.
-    pub(crate) timeline: Option<Box<Timeline>>,
     /// Armed fault plane for the unified allocation counter (rarrayalloc,
     /// malloc, GC alloc). None = disabled: the hot-path hook is one branch,
     /// like `sample_tick`. The page-acquire arm lives in the page store.
@@ -121,15 +120,11 @@ pub struct Heap {
     pub(crate) fault_rc: Option<Box<FaultArm>>,
     /// Armed fault plane for forced annotation-check failures.
     pub(crate) fault_check: Option<Box<FaultArm>>,
-    /// Per-site check-outcome counter, if check counting is enabled.
-    pub(crate) check_counter: Option<Box<crate::checkcount::CheckCounter>>,
-    /// Current front-end check-site id for counter attribution.
+    /// Current front-end check-site id for check-event attribution.
     pub(crate) check_site: u32,
     /// Static verdict of the current check site (see
-    /// [`Heap::set_check_verdict`]); stamped into span check notes.
+    /// [`Heap::set_check_verdict`]); carried by check events.
     pub(crate) check_safe: bool,
-    /// The region-lifecycle span tree, if span recording is enabled.
-    pub(crate) span_tree: Option<Box<crate::span::SpanTree>>,
 }
 
 impl Heap {
@@ -157,18 +152,15 @@ impl Heap {
             stats: Stats::new(),
             clock: Clock::new(),
             costs: config.costs,
-            trace_mask: 0,
-            tracer: None,
+            sink_mask: 0,
+            sinks: Sinks::default(),
             trace_site: 0,
             sample_countdown: 0,
-            timeline: None,
             fault_alloc: None,
             fault_rc: None,
             fault_check: None,
-            check_counter: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
             check_safe: false,
-            span_tree: None,
         }
     }
 
@@ -269,23 +261,14 @@ impl Heap {
             }
         }
         self.stats.regions_created += 1;
-        if self.trace_on(mask::REGION_CREATED | mask::SUBREGION_CREATED) {
-            let at = self.clock.cycles();
-            let ev = if parent == TRADITIONAL {
-                Event::RegionCreated { region: id.0, at }
+        self.emit(|h| {
+            let (at, born) = (h.clock.cycles(), h.regions[id.0 as usize].born_at);
+            if parent == TRADITIONAL {
+                Event::RegionCreated { region: id.0, at, born }
             } else {
-                Event::SubregionCreated { region: id.0, parent: parent.0, at }
-            };
-            if self.trace_mask & ev.mask_bit() != 0 {
-                self.trace_emit(ev);
+                Event::SubregionCreated { region: id.0, parent: parent.0, at, born }
             }
-        }
-        if self.span_on() {
-            // Open at born_at so span durations equal the profile's
-            // lifetime_cycles exactly.
-            let born = self.regions[id.0 as usize].born_at;
-            self.span_open(id.0, parent.0, born);
-        }
+        });
         self.sample_tick();
         Ok(id)
     }
@@ -361,18 +344,11 @@ impl Heap {
             }
             self.stats.sub_live(freed);
             self.stats.regions_deleted += 1;
-            if self.trace_on(mask::REGION_DELETED) {
-                let lifetime_cycles = self.clock.cycles().saturating_sub(born_at);
-                self.trace_emit(Event::RegionDeleted {
-                    region: r.0,
-                    live_words: freed,
-                    lifetime_cycles,
-                });
-            }
-            if self.span_on() {
-                let now = self.clock.cycles();
-                self.span_close(r.0, now, freed);
-            }
+            self.emit(|h| {
+                let at = h.clock.cycles();
+                let lifetime_cycles = at.saturating_sub(born_at);
+                Event::RegionDeleted { region: r.0, live_words: freed, lifetime_cycles, at }
+            });
             self.sample_tick();
             // The unscan may have released counts on other doomed regions.
             for i in 0..self.regions.len() {
@@ -480,15 +456,22 @@ impl Heap {
         self.stats.objects_allocated += 1;
         self.stats.words_allocated += words as u64;
         self.stats.add_live(words as u64);
-        if self.trace_on(mask::ALLOC) {
-            let ev = Event::Alloc { region: r.0, site: self.trace_site, words: words as u32 };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_alloc(r.0, words as u32);
-        }
+        self.emit_alloc(r, words);
         self.sample_tick();
         Ok(out.addr)
+    }
+
+    /// Emits an [`Event::Alloc`] of `words` into `r` (all three
+    /// allocators share it; malloc and GC objects belong to the
+    /// traditional region).
+    #[inline(always)]
+    pub(crate) fn emit_alloc(&mut self, r: RegionId, words: usize) {
+        self.emit(|h| Event::Alloc {
+            region: r.0,
+            site: h.trace_site,
+            words: words as u32,
+            at: h.clock.cycles(),
+        });
     }
 
     /// `regionof(x)`: the region owning the page `x` points into. Pages of
@@ -616,18 +599,17 @@ impl Heap {
 
     /// Resets every metric — all [`Stats`] counters including the cycle
     /// accumulators, the virtual clock, the attribution site, and any
-    /// attached tracer (its mask and ring capacity are preserved; its ring
-    /// and folded profile start over). The heap contents are untouched;
-    /// used by harnesses that want to measure a steady-state phase.
+    /// attached tracer (its ring capacity is preserved; its ring and
+    /// folded profile start over). The heap contents are untouched; used
+    /// by harnesses that want to measure a steady-state phase.
     pub fn reset_metrics(&mut self) {
         self.stats = Stats::new();
         self.clock.reset();
         self.trace_site = 0;
-        if let Some(t) = self.tracer.as_ref() {
-            let (mask, capacity) = (t.mask(), t.capacity());
-            self.tracer = Some(Box::new(Tracer::new(mask, capacity)));
+        if let Some(t) = self.sinks.tracer.as_mut() {
+            **t = Tracer::new(t.capacity());
         }
-        if let Some(tl) = self.timeline.as_mut() {
+        if let Some(tl) = self.sinks.timeline.as_mut() {
             // Samples start over at the configured interval; the sampler
             // itself stays attached.
             tl.reset();
@@ -638,12 +620,10 @@ impl Heap {
         for rd in &mut self.regions {
             rd.born_at = 0;
         }
-        if let Some(t) = self.span_tree.as_ref() {
+        if let Some(t) = self.sinks.spans.as_mut() {
             // Spans restart with the clock: regions still live reopen at
             // time 0 (their note bound is preserved).
-            let cap = t.note_cap();
-            self.span_tree =
-                Some(Box::new(crate::span::SpanTree::seeded(cap, &self.regions)));
+            **t = crate::span::SpanTree::seeded(t.note_cap(), &self.regions);
         }
     }
 
@@ -651,50 +631,32 @@ impl Heap {
 
     /// Attaches a [`Timeline`] sampler that snapshots the heap every
     /// `interval` runtime events, retaining at most `cap` samples (older
-    /// samples are decimated). Under `--no-default-features` this is a
-    /// no-op and no timeline is ever attached.
+    /// samples are decimated).
     pub fn enable_sampling(&mut self, interval: u64, cap: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            let tl = Timeline::new(interval, cap);
-            self.sample_countdown = tl.interval();
-            self.timeline = Some(Box::new(tl));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = (interval, cap);
-        }
-    }
-
-    /// Detaches and returns the timeline, disabling further sampling.
-    pub fn take_timeline(&mut self) -> Option<Box<Timeline>> {
-        self.sample_countdown = 0;
-        self.timeline.take()
+        let tl = Timeline::new(interval, cap);
+        self.sample_countdown = tl.interval();
+        self.sinks.timeline = Some(Box::new(tl));
     }
 
     /// The attached timeline, if sampling is enabled.
     pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_deref()
+        self.sinks.timeline.as_deref()
     }
 
     /// Whether a timeline sampler is attached.
     pub fn sampling_enabled(&self) -> bool {
-        self.timeline.is_some()
+        self.sinks.timeline.is_some()
     }
 
     /// One sampling tick. Every instrumented runtime event (allocation,
     /// count update, check, free, collection, interpreter step) calls
-    /// this; with sampling disabled it is a single compare against zero,
-    /// and without the `telemetry` feature it compiles to nothing.
+    /// this; with sampling disabled it is a single compare against zero.
     #[inline(always)]
     pub fn sample_tick(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            if self.sample_countdown != 0 {
-                self.sample_countdown -= 1;
-                if self.sample_countdown == 0 {
-                    self.sample_take();
-                }
+        if self.sample_countdown != 0 {
+            self.sample_countdown -= 1;
+            if self.sample_countdown == 0 {
+                self.sample_take();
             }
         }
     }
@@ -702,35 +664,30 @@ impl Heap {
     /// Takes an immediate snapshot regardless of the tick countdown (used
     /// for the final sample at end of run). No-op when sampling is off.
     pub fn sample_now(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(tl) = self.timeline.as_mut() {
-                // Account the ticks consumed from the current window.
-                let consumed = tl.interval() - self.sample_countdown.min(tl.interval());
-                tl.note_ticks(consumed);
-                self.sample_push();
-            }
+        if let Some(tl) = self.sinks.timeline.as_mut() {
+            // Account the ticks consumed from the current window.
+            let consumed = tl.interval() - self.sample_countdown.min(tl.interval());
+            tl.note_ticks(consumed);
+            self.sample_push();
         }
     }
 
     /// The scheduled (countdown-expired) sample: a full window of ticks
     /// elapsed.
-    #[cfg(feature = "telemetry")]
     #[cold]
     fn sample_take(&mut self) {
-        if let Some(tl) = self.timeline.as_mut() {
+        if let Some(tl) = self.sinks.timeline.as_mut() {
             let window = tl.interval();
             tl.note_ticks(window);
         }
         self.sample_push();
     }
 
-    #[cfg(feature = "telemetry")]
     fn sample_push(&mut self) {
         let gauges = self.gauges();
         let cycles = self.clock.cycles();
         let site = self.trace_site;
-        if let Some(tl) = self.timeline.as_mut() {
+        if let Some(tl) = self.sinks.timeline.as_mut() {
             tl.push(gauges, &self.stats, cycles, site);
             // Decimation may have doubled the interval; reschedule from it.
             self.sample_countdown = tl.interval();
@@ -824,12 +781,12 @@ impl Heap {
         let page_arm = self.store.take_fault_arm();
         if let Some(arm) = page_arm.as_ref() {
             // The page store fires below the heap layer, so its
-            // injections reach stats/trace/spans at harvest, with their
-            // back-filled stamps (the heap-level planes record at
-            // tick time in their slow paths).
-            let injected: Vec<crate::fault::InjectedFault> = arm.injected().to_vec();
-            for f in injected {
-                self.note_fault_injected(f.plane, f.op, f.at);
+            // injections reach stats and the event stream at harvest,
+            // with their back-filled stamps (the heap-level planes
+            // record at tick time in their slow paths).
+            for f in arm.injected() {
+                self.stats.faults_injected += 1;
+                self.emit(|_| Event::Fault { plane: f.plane, op: f.op, at: f.at });
             }
         }
         let arms: Vec<FaultArm> = [
@@ -864,7 +821,8 @@ impl Heap {
         let at = self.clock.cycles();
         if self.fault_alloc.as_mut().is_some_and(|arm| arm.tick(at)) {
             let op = self.fault_alloc.as_ref().map_or(0, |a| a.ops());
-            self.note_fault_injected(FaultPlane::Alloc, op, at);
+            self.stats.faults_injected += 1;
+            self.emit(|_| Event::Fault { plane: FaultPlane::Alloc, op, at });
             return Err(RtError::OutOfMemory);
         }
         Ok(())
@@ -886,7 +844,8 @@ impl Heap {
         let fired = self.fault_rc.as_mut().is_some_and(|arm| arm.tick(at));
         if fired {
             let op = self.fault_rc.as_ref().map_or(0, |a| a.ops());
-            self.note_fault_injected(FaultPlane::RcSaturate, op, at);
+            self.stats.faults_injected += 1;
+            self.emit(|_| Event::Fault { plane: FaultPlane::RcSaturate, op, at });
             // Name the region whose count would have been raised.
             let region = self
                 .try_region_of(val)
@@ -912,7 +871,8 @@ impl Heap {
         let fired = self.fault_check.as_mut().is_some_and(|arm| arm.tick(at));
         if fired {
             let op = self.fault_check.as_ref().map_or(0, |a| a.ops());
-            self.note_fault_injected(FaultPlane::CheckFail, op, at);
+            self.stats.faults_injected += 1;
+            self.emit(|_| Event::Fault { plane: FaultPlane::CheckFail, op, at });
         }
         fired
     }
@@ -1128,7 +1088,7 @@ mod tests {
     fn reset_metrics_zeroes_every_counter() {
         use crate::rcops::WriteMode;
         let mut h = Heap::with_defaults();
-        h.enable_tracing(crate::trace::mask::ALL, 64);
+        h.enable_tracing(64);
         let counted = list_type(&mut h, PtrKind::Counted);
         let checked = list_type(&mut h, PtrKind::SameRegion);
         // Exercise every accumulator: regions, allocs, counted and checked
@@ -1154,8 +1114,6 @@ mod tests {
         h.delete_region(r1).unwrap();
         assert_ne!(h.stats, Stats::new(), "the workout touched the stats");
         assert!(h.clock.cycles() > 0);
-        // Events only record when the telemetry feature compiled them in.
-        #[cfg(feature = "telemetry")]
         assert!(h.tracer().unwrap().recorded() > 0);
 
         h.reset_metrics();
@@ -1167,7 +1125,7 @@ mod tests {
         let t = h.tracer().expect("tracer survives reset");
         assert_eq!(t.recorded(), 0);
         assert_eq!(t.profile().totals, crate::profile::ProfileTotals::default());
-        assert_eq!(t.mask(), crate::trace::mask::ALL, "mask preserved");
+        assert_eq!(t.capacity(), 64, "capacity preserved");
     }
 
     /// A fixed workout touching regions, malloc, and GC, identical across
@@ -1194,7 +1152,6 @@ mod tests {
         h.delete_region(r1).unwrap();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sampling_is_observation_only() {
         let mut plain = Heap::with_defaults();
@@ -1206,7 +1163,7 @@ mod tests {
         // run it observes.
         assert_eq!(plain.stats, sampled.stats);
         assert_eq!(plain.clock.cycles(), sampled.clock.cycles());
-        let tl = sampled.take_timeline().expect("sampler attached");
+        let tl = sampled.take_sinks().timeline.expect("sampler attached");
         assert!(tl.len() > 3, "periodic samples were taken: {}", tl.len());
         let last = tl.samples().last().unwrap();
         assert_eq!(last.gauges.pages_in_use as usize, sampled.store.pages_in_use());
@@ -1217,7 +1174,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sample_now_takes_forced_snapshot_and_tracks_gauges() {
         let mut h = Heap::with_defaults();
@@ -1242,20 +1198,18 @@ mod tests {
     }
 
     #[test]
-    fn sampling_api_is_safe_whether_or_not_the_feature_is_on() {
+    fn sampling_api_is_safe_before_and_after_enabling() {
         let mut h = Heap::with_defaults();
         assert!(!h.sampling_enabled());
         h.sample_tick(); // no-ops before enable_sampling
         h.sample_now();
         h.enable_sampling(4, 16);
-        assert_eq!(h.sampling_enabled(), cfg!(feature = "telemetry"));
+        assert!(h.sampling_enabled());
         h.sample_now();
-        let tl = h.take_timeline();
-        assert_eq!(tl.is_some(), cfg!(feature = "telemetry"));
+        assert!(h.take_sinks().timeline.is_some());
         assert!(!h.sampling_enabled());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn reset_metrics_restarts_the_timeline() {
         let mut h = Heap::with_defaults();

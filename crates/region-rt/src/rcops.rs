@@ -19,7 +19,7 @@ use crate::heap::Heap;
 use crate::layout::PtrKind;
 use crate::region::{is_ancestor, RegionId, TRADITIONAL};
 use crate::stats::AssignCategory;
-use crate::trace::{mask, Event, NO_REGION};
+use crate::trace::{Event, NO_REGION};
 
 /// How a heap pointer store is instrumented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +77,7 @@ impl Heap {
             }
             WriteMode::CountedCheck(kind) => {
                 let ok = self.eval_check(obj, val, kind)?;
-                self.count_check(ok);
-                if self.trace_on(mask::CHECK_RUN) {
-                    let ev = Event::CheckRun { kind, site: self.trace_site, passed: ok };
-                    self.trace_emit(ev);
-                }
-                if self.span_on() {
-                    self.span_note_check(obj, kind, ok);
-                }
+                self.emit_check(obj, kind, ok);
                 self.write_counted(obj, slot, val)
             }
         }
@@ -103,18 +96,13 @@ impl Heap {
         let ro = self.try_region_of(old);
         let rn = self.try_region_of(val);
         let full = ro != rn;
-        if self.trace_on(mask::RC_UPDATE) {
-            let ev = Event::RcUpdate {
-                from: rp.0,
-                to: rn.map_or(NO_REGION, |r| r.0),
-                full,
-                site: self.trace_site,
-            };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_rc(rp.0, full);
-        }
+        self.emit(|h| Event::RcUpdate {
+            from: rp.0,
+            to: rn.map_or(NO_REGION, |r| r.0),
+            full,
+            site: h.trace_site,
+            at: h.clock.cycles(),
+        });
         let mut decremented = false;
         if full {
             if let Some(ro) = ro {
@@ -156,14 +144,7 @@ impl Heap {
         kind: PtrKind,
     ) -> Result<(), RtError> {
         let ok = self.eval_check(obj, val, kind)?;
-        self.count_check(ok);
-        if self.trace_on(mask::CHECK_RUN) {
-            let ev = Event::CheckRun { kind, site: self.trace_site, passed: ok };
-            self.trace_emit(ev);
-        }
-        if self.span_on() {
-            self.span_note_check(obj, kind, ok);
-        }
+        self.emit_check(obj, kind, ok);
         self.sample_tick();
         if !ok {
             return Err(RtError::CheckFailed { kind, obj, field, val });
@@ -171,6 +152,21 @@ impl Heap {
         self.store.write(slot, val.raw());
         self.stats.record_assign(AssignCategory::Checked);
         Ok(())
+    }
+
+    /// Emits the [`Event::CheckRun`] of a store into `obj`, attributed to
+    /// the published source line, check site and static verdict.
+    #[inline(always)]
+    fn emit_check(&mut self, obj: Addr, kind: PtrKind, passed: bool) {
+        self.emit(|h| Event::CheckRun {
+            kind,
+            site: h.trace_site,
+            passed,
+            region: h.try_region_of(obj).unwrap_or(TRADITIONAL).0,
+            check_site: h.check_site,
+            statically_safe: h.check_safe,
+            at: h.clock.cycles(),
+        });
     }
 
     /// Evaluates the Figure 3(b) predicate for one annotated store,

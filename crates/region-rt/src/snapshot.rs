@@ -239,18 +239,11 @@ impl Heap {
     /// no cycles, mutates nothing, and is safe at any point — including
     /// after a fault, where the capture shows the pre-unwind heap.
     pub fn snapshot(&self, reason: SnapshotReason) -> HeapSnapshot {
-        let spans = self.span_tree.as_deref();
+        let spans = self.sinks.spans.as_deref();
 
         // Last-touch per region, from the retained span notes.
-        let mut last_touch = vec![0u64; self.regions.len()];
-        if let Some(tree) = spans {
-            for note in tree.notes() {
-                let r = note.region() as usize;
-                if r < last_touch.len() && note.at() > last_touch[r] {
-                    last_touch[r] = note.at();
-                }
-            }
-        }
+        let last_touch =
+            spans.map_or_else(|| vec![0; self.regions.len()], |t| t.last_touch(self.regions.len()));
 
         let mut used = vec![0u32; self.store.page_count()];
         let mut sites: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();

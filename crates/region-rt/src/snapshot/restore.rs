@@ -49,8 +49,8 @@ use crate::malloc::{size_class, MallocObj, MallocState, SIZE_CLASSES};
 use crate::page::{PageOwner, PageStore};
 use crate::region::{RegionData, RegionId};
 use crate::snapshot::{HeapSnapshot, RegionSnapshot, SnapOwner};
-use crate::span::{Span, SpanNote, SpanTree};
-use crate::trace::NO_REGION;
+use crate::span::{Span, SpanTree};
+use crate::trace::{Event, NO_REGION};
 
 /// Restore refuses snapshots claiming more committed pages than this
 /// (1 Mi pages = 8 GiB of simulated heap): a genuine capture of that size
@@ -1039,18 +1039,15 @@ impl Heap {
             stats: snap.stats.clone(),
             clock,
             costs: CostModel::paper(),
-            trace_mask: 0,
-            tracer: None,
+            sink_mask: 0,
+            sinks: Default::default(),
             trace_site: 0,
             sample_countdown: 0,
-            timeline: None,
             fault_alloc: None,
             fault_rc: None,
             fault_check: None,
-            check_counter: None,
             check_site: crate::checkcount::NO_CHECK_SITE,
             check_safe: false,
-            span_tree: None,
         };
 
         if shape.spans_on {
@@ -1059,18 +1056,20 @@ impl Heap {
                 .iter()
                 .map(span_from)
                 .collect();
-            let notes: Vec<SpanNote> = snap
+            let notes: Vec<Event> = snap
                 .regions
                 .iter()
                 .filter(|rs| rs.last_touch > 0)
-                .map(|rs| SpanNote::Rc {
-                    region: rs.region,
-                    at: rs.last_touch,
-                    site: 0,
+                .map(|rs| Event::RcUpdate {
+                    from: rs.region,
+                    to: NO_REGION,
                     full: false,
+                    site: 0,
+                    at: rs.last_touch,
                 })
                 .collect();
-            heap.span_tree = Some(Box::new(SpanTree::from_snapshot(spans, notes)));
+            heap.sinks.spans = Some(Box::new(SpanTree::from_snapshot(spans, notes)));
+            heap.sink_mask = crate::trace::sink::SPANS;
         }
 
         // The three exit gates: a restored heap must verify, audit clean,

@@ -10,12 +10,12 @@
 //! the virtual clock's event stream, never by wall time, so two runs of
 //! the same program produce byte-identical timelines.
 //!
-//! Cost discipline matches the tracer (see `docs/OBSERVABILITY.md`):
-//! emission sites call [`Heap::sample_tick`](crate::heap::Heap), which is
-//! a single compare-with-zero branch while sampling is disabled, and the
-//! whole path compiles out under `--no-default-features` (the `telemetry`
-//! cargo feature). Sampling is observation-only: it never changes
-//! `Stats`, virtual cycles, or program outcome.
+//! Cost discipline matches the event stream (see
+//! `docs/OBSERVABILITY.md`): emission sites call
+//! [`Heap::sample_tick`](crate::heap::Heap), which is a single
+//! compare-with-zero branch while sampling is disabled. Sampling is
+//! observation-only: it never changes `Stats`, virtual cycles, or
+//! program outcome.
 //!
 //! Memory is bounded by decimation: when the sample buffer reaches its
 //! cap, every other sample is dropped and the interval doubles — the
@@ -141,9 +141,6 @@ impl MetricsSnapshot {
 }
 
 /// Cumulative counter values at the previous sample, for delta taking.
-// Without the `telemetry` feature the heap never pushes samples, so the
-// delta machinery is only reachable from in-crate tests.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 #[derive(Debug, Clone, Copy, Default)]
 struct Baseline {
     cycles: Cycles,
@@ -158,7 +155,6 @@ struct Baseline {
     gc_cycles: Cycles,
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 impl Baseline {
     fn of(stats: &Stats, cycles: Cycles) -> Baseline {
         Baseline {
@@ -197,7 +193,6 @@ pub struct Timeline {
     samples_dropped: u64,
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 impl Timeline {
     /// A sampler taking a snapshot every `interval` ticks, decimating at
     /// `cap` retained samples (both clamped to sane minimums).
