@@ -31,6 +31,6 @@ fn bench_fig7(c: &Bench) {
 }
 
 fn main() {
-    let bench = Bench::from_args().sample_size(10);
+    let bench = Bench::from_args(10);
     bench_fig7(&bench);
 }

@@ -59,7 +59,7 @@ fn bench_expensive_checks_ablation(c: &Bench) {
 }
 
 fn main() {
-    let bench = Bench::from_args().sample_size(10);
+    let bench = Bench::from_args(10);
     bench_fig8(&bench);
     bench_expensive_checks_ablation(&bench);
 }

@@ -197,7 +197,7 @@ fn bench_numbering_ablation(c: &Bench) {
 }
 
 fn main() {
-    let bench = Bench::from_args();
+    let bench = Bench::from_args(30);
     bench_write_barriers(&bench);
     bench_allocators(&bench);
     bench_region_lifecycle(&bench);

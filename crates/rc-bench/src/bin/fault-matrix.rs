@@ -13,22 +13,9 @@
 
 use std::process::ExitCode;
 
-use rc_bench::faultmatrix;
+use rc_bench::{faultmatrix, matrix};
 
 fn main() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    let report = faultmatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("fault-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    let report = faultmatrix::collect(rc_bench::scale_from_args());
+    matrix::main("fault-matrix", &report, rc_bench::value_from_args("--out").as_deref())
 }

@@ -8,7 +8,7 @@
 //! 1/2/4/8 tasks × `lea`/`GC`/`qs`, running every cell both sequentially
 //! and under the seeded deterministic scheduler. Prints a summary, writes
 //! the byte-deterministic JSON report when `--out` is given (virtual
-//! clock only — CI runs the binary twice and `cmp`s), and exits 0 when
+//! clock only — CI runs the binary twice and compares the bytes), and exits 0 when
 //! the gate passes (every cell outcome-equivalent, audit-clean and
 //! report-identical across schedulers), 1 on a violation, 2 on I/O
 //! errors.
@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use rc_bench::parallelmatrix;
+use rc_bench::{matrix, parallelmatrix};
 
 fn main() -> ExitCode {
     let scale = rc_bench::scale_from_args();
@@ -29,19 +29,7 @@ fn main() -> ExitCode {
         return speedup(scale);
     }
     let report = parallelmatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("parallel-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    matrix::main("parallel-matrix", &report, rc_bench::value_from_args("--out").as_deref())
 }
 
 fn speedup(scale: rc_workloads::Scale) -> ExitCode {

@@ -22,7 +22,7 @@
 
 use std::process::ExitCode;
 
-use rc_bench::recoverymatrix;
+use rc_bench::{matrix, recoverymatrix};
 use rc_lang::{run_audited, CheckMode, Outcome, RunConfig};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::Scale;
@@ -34,19 +34,7 @@ fn main() -> ExitCode {
         return dump_pair(&dir, scale);
     }
     let report = recoverymatrix::collect(scale);
-    print!("{}", report.summary());
-    if let Some(path) = rc_bench::value_from_args("--out") {
-        if let Err(e) = std::fs::write(&path, report.render()) {
-            eprintln!("recovery-matrix: {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("report written to {path}");
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    matrix::main("recovery-matrix", &report, rc_bench::value_from_args("--out").as_deref())
 }
 
 /// Replays the budget-squeeze recovery story on `moss/qs` — the

@@ -15,7 +15,7 @@
 //! track per task (an `"X"` slice over the task's shared-clock lifetime,
 //! scheduler events as instants), with the work/span headline numbers in
 //! `otherData`. Both exports are byte-deterministic — CI runs them twice
-//! and `cmp`s. Exits 0 on success, 2 on bad arguments or I/O errors.
+//! and compares the bytes. Exits 0 on success, 2 on bad arguments or I/O errors.
 
 use std::process::ExitCode;
 

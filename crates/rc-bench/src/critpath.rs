@@ -22,8 +22,6 @@ use rc_workloads::parspawn::par_source;
 use rc_workloads::Scale;
 use region_rt::{critpath_analyze, CritPath, Json, ShardId, TaskReport};
 
-use crate::parallelmatrix::outcome_key;
-
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
 pub const SCHEMA: &str = crate::schema::Schema::CritPath.id();
@@ -82,7 +80,7 @@ pub fn collect(
         config: config_name.to_string(),
         scale: scale.0,
         seed,
-        outcome: outcome_key(&r.outcome),
+        outcome: r.outcome.key(),
         cycles: r.cycles,
         reports: r.task_reports,
         cp,

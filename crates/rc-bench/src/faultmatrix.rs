@@ -23,17 +23,18 @@
 //! byte-identical — same property the trajectory gate relies on. The
 //! schema string [`SCHEMA`] names the layout; see `docs/ROBUSTNESS.md`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use rc_lang::interp::{run_audited, Outcome, RunResult};
 use rc_lang::RunConfig;
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::{FaultMode, FaultPlan, Json};
 
+use crate::matrix::{catch_cell, Cell, Report};
+use crate::schema::Schema;
+
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
-pub const SCHEMA: &str = crate::schema::Schema::FaultMatrix.id();
+pub const SCHEMA: &str = Schema::FaultMatrix.id();
 
 /// One column of the torture matrix: a fault plan and/or a page budget.
 #[derive(Debug, Clone)]
@@ -103,9 +104,12 @@ impl FaultRun {
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.workload, self.scenario, self.config)
     }
+}
 
-    /// Encodes the cell as one JSON object.
-    pub fn to_json(&self) -> Json {
+impl Cell for FaultRun {
+    const GATE: &'static str = "robustness gate";
+
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("workload", Json::s(&*self.workload)),
             ("scenario", Json::s(&*self.scenario)),
@@ -126,79 +130,30 @@ impl FaultRun {
             ("steps", Json::U(self.steps)),
         ])
     }
-}
 
-/// The full matrix report: every cell plus the contract violations.
-#[derive(Debug, Clone)]
-pub struct FaultMatrixReport {
-    /// Workload scale the matrix ran at.
-    pub scale: u32,
-    /// All cells, workload-major, scenario-then-configuration order.
-    pub runs: Vec<FaultRun>,
-    /// Robustness-contract violations (empty = the gate passes).
-    pub violations: Vec<String>,
-}
-
-impl FaultMatrixReport {
-    /// Whether the robustness gate passes.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Encodes the report, schema string first.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::s(SCHEMA)),
-            ("scale", Json::U(self.scale as u64)),
-            ("passed", Json::Bool(self.passed())),
-            ("violations", Json::A(self.violations.iter().map(|v| Json::s(&**v)).collect())),
-            ("runs", Json::A(self.runs.iter().map(FaultRun::to_json).collect())),
-        ])
-    }
-
-    /// Renders the report as pretty-printed JSON (the
-    /// `FAULTMATRIX_rc.json` format).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render_pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human summary: cell counts by outcome, then violations.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let count = |tag: &str| self.runs.iter().filter(|r| r.outcome == tag).count();
-        let _ = writeln!(
-            out,
-            "fault-matrix: {} cells — {} exited, {} trapped, {} other",
-            self.runs.len(),
+    /// Cell counts by outcome, then the injections fired.
+    fn headline(runs: &[FaultRun]) -> String {
+        let count = |tag: &str| runs.iter().filter(|r| r.outcome == tag).count();
+        let injected: u64 = runs.iter().map(|r| r.injected).sum();
+        format!(
+            "fault-matrix: {} cells — {} exited, {} trapped, {} other\n\
+             injections fired: {injected}\n",
+            runs.len(),
             count("exit"),
             count("trapped"),
-            self.runs.len() - count("exit") - count("trapped"),
-        );
-        let injected: u64 = self.runs.iter().map(|r| r.injected).sum();
-        let _ = writeln!(out, "injections fired: {injected}");
-        if self.passed() {
-            let _ = writeln!(out, "robustness gate: PASS");
-        } else {
-            let _ = writeln!(out, "robustness gate: FAIL ({} violations)", self.violations.len());
-            for v in &self.violations {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        out
+            runs.len() - count("exit") - count("trapped"),
+        )
     }
 }
 
 /// Runs the full matrix over all eight workloads.
-pub fn collect(scale: Scale) -> FaultMatrixReport {
+pub fn collect(scale: Scale) -> Report<FaultRun> {
     collect_for(scale, &rc_workloads::all())
 }
 
 /// Runs the matrix over the given workloads: every [`scenarios`] column
 /// under every Figure 7 configuration, trap-and-unwind recovery on.
-pub fn collect_for(scale: Scale, workloads: &[Workload]) -> FaultMatrixReport {
+pub fn collect_for(scale: Scale, workloads: &[Workload]) -> Report<FaultRun> {
     let mut runs = Vec::new();
     let mut violations = Vec::new();
     for w in workloads {
@@ -210,14 +165,9 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> FaultMatrixReport {
                     .with_faults(scenario.plan.clone())
                     .with_page_budget(scenario.page_budget);
                 let key = format!("{}/{}/{name}", w.name, scenario.name);
-                // `run_audited` re-raises interpreter-thread panics on
-                // this thread, so a catch here observes them all.
-                let cell = match catch_unwind(AssertUnwindSafe(|| run_audited(&c, &cfg))) {
-                    Ok(r) => cell_of(w.name, scenario.name, name, &r),
-                    Err(payload) => {
-                        violations.push(format!("{key}: panicked: {}", panic_msg(&payload)));
-                        panicked_cell(w.name, scenario.name, name)
-                    }
+                let cell = match catch_cell(&key, &mut violations, || run_audited(&c, &cfg)) {
+                    Some(r) => cell_of(w.name, scenario.name, name, &r),
+                    None => panicked_cell(w.name, scenario.name, name),
                 };
                 if cell.outcome != "panicked" && !cell.audit_clean {
                     violations.push(format!("{key}: post-fault heap audit failed"));
@@ -233,7 +183,12 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> FaultMatrixReport {
         }
     }
     check_alloc_agreement(&runs, &mut violations);
-    FaultMatrixReport { scale: scale.0, runs, violations }
+    Report {
+        schema: Schema::FaultMatrix,
+        header: vec![("scale", scale.0.into())],
+        runs,
+        violations,
+    }
 }
 
 /// The cross-config agreement check: within one workload × alloc-plane
@@ -317,44 +272,11 @@ fn panicked_cell(workload: &str, scenario: &str, config: &str) -> FaultRun {
     }
 }
 
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Parses a serialized matrix report, validating the schema string, and
-/// returns `(passed, violations)`.
-pub fn parse_report(text: &str) -> Result<(bool, Vec<String>), String> {
-    let doc = Json::parse(text).map_err(|e| format!("fault-matrix report: not valid JSON: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("fault-matrix report: schema {s:?}, expected {SCHEMA:?}")),
-        None => return Err("fault-matrix report: missing schema field".to_string()),
-    }
-    let passed = doc
-        .get("passed")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| "fault-matrix report: missing passed flag".to_string())?;
-    let violations = doc
-        .get("violations")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "fault-matrix report: missing violations array".to_string())?
-        .iter()
-        .filter_map(|v| v.as_str().map(str::to_string))
-        .collect();
-    Ok((passed, violations))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_matrix() -> FaultMatrixReport {
+    fn tiny_matrix() -> Report<FaultRun> {
         collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
     }
 
@@ -375,15 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn report_is_byte_deterministic_and_round_trips() {
+    fn report_is_byte_deterministic() {
         let a = tiny_matrix().render();
         let b = tiny_matrix().render();
         assert_eq!(a, b, "same tree must produce byte-identical reports");
-        let (passed, violations) = parse_report(&a).unwrap();
-        assert!(passed);
-        assert!(violations.is_empty());
-        assert!(parse_report("not json").is_err());
-        let other = a.replace(SCHEMA, "rc-bench-faultmatrix/v0");
-        assert!(parse_report(&other).unwrap_err().contains("schema"));
+        assert!(a.contains(SCHEMA), "{a}");
     }
 }

@@ -5,7 +5,7 @@
 //! depend on rc-bench alone. Like the fault matrix and the trajectory
 //! exports, every field is virtual — seeds, step counts, outcome keys —
 //! so two reports generated from the same tree are byte-identical, which
-//! is exactly what CI's double-run `cmp` asserts.
+//! is exactly what CI's double-run comparison asserts.
 
 use region_rt::Json;
 

@@ -31,6 +31,7 @@ pub mod critpath;
 pub mod faultmatrix;
 pub mod fuzzreport;
 pub mod inspect;
+pub mod matrix;
 pub mod microbench;
 pub mod parallelmatrix;
 pub mod provenance;

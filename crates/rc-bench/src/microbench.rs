@@ -20,11 +20,15 @@ pub struct Bench {
 
 impl Bench {
     /// Parses `cargo bench` CLI arguments (`--bench` is swallowed, a bare
-    /// word is a name filter, `--samples N` overrides the sample count).
-    pub fn from_args() -> Bench {
+    /// word is a name filter, `--samples N` overrides `samples`, the
+    /// default sample count).
+    pub fn from_args(samples: usize) -> Bench {
+        Bench::parse(std::env::args().skip(1), samples)
+    }
+
+    fn parse(args: impl IntoIterator<Item = String>, mut samples: usize) -> Bench {
         let mut filter = None;
-        let mut samples = 30;
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--bench" | "--test" => {}
@@ -38,13 +42,6 @@ impl Bench {
             }
         }
         Bench { filter, samples }
-    }
-
-    /// As [`Bench::from_args`], with an explicit sample count (criterion's
-    /// `sample_size`).
-    pub fn sample_size(mut self, samples: usize) -> Bench {
-        self.samples = samples;
-        self
     }
 
     /// Starts a named benchmark group.
@@ -159,6 +156,16 @@ mod tests {
         assert_eq!(fmt_ns(12.5), "12.50 ns");
         assert_eq!(fmt_ns(1_500.0), "1.50 µs");
         assert_eq!(fmt_ns(2_000_000.0), "2.00 ms");
+    }
+
+    #[test]
+    fn samples_flag_beats_the_default_and_a_bare_word_filters() {
+        let b = Bench::parse(["--bench", "write_barrier", "--samples", "3"].map(String::from), 10);
+        assert_eq!(b.samples, 3);
+        assert_eq!(b.filter.as_deref(), Some("write_barrier"));
+        let b = Bench::parse(["--bench".to_string()], 10);
+        assert_eq!(b.samples, 10);
+        assert_eq!(b.filter, None);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!    between the two runs: telemetry is an exact merge over shards, not
 //!    an approximation;
 //! 4. **determinism** — the report contains only virtual-clock numbers,
-//!    so two runs of the binary are byte-identical (CI `cmp`s a double
+//!    so two runs of the binary are byte-identical (CI compares a double
 //!    run).
 //!
 //! Real-thread wall-clock scaling is measured separately by
@@ -33,14 +33,17 @@
 
 use std::time::Instant;
 
-use rc_lang::{run_audited, CheckMode, Outcome, RunConfig, SchedMode};
+use rc_lang::{run_audited, CheckMode, Compiled, RunConfig, SchedMode};
 use rc_workloads::parspawn::par_source;
 use rc_workloads::Scale;
-use region_rt::{critpath_analyze, Json, SchedEventKind, TaskReport};
+use region_rt::{critpath_analyze, CritPath, Json, SchedEventKind, TaskReport};
+
+use crate::matrix::{catch_cell, Cell, Report};
+use crate::schema::Schema;
 
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
-pub const SCHEMA: &str = crate::schema::Schema::ParallelMatrix.id();
+pub const SCHEMA: &str = Schema::ParallelMatrix.id();
 
 /// The fixed seed the matrix's deterministic-scheduler runs use.
 pub const DET_SEED: u64 = 0x5eed_c0ff_ee00_0009;
@@ -56,18 +59,6 @@ pub fn configs() -> Vec<(&'static str, RunConfig)> {
         ("GC", RunConfig::gc()),
         ("qs", RunConfig::rc(CheckMode::Qs)),
     ]
-}
-
-/// Collapses an [`Outcome`] to a schedule- and allocator-independent key
-/// (same shape as the fuzz oracle's).
-pub fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-    }
 }
 
 /// One workload × workers × configuration cell.
@@ -125,9 +116,12 @@ impl ParallelRun {
     pub fn key(&self) -> String {
         format!("{}/w{}/{}", self.workload, self.workers, self.config)
     }
+}
 
-    /// Encodes the cell as one JSON object.
-    pub fn to_json(&self) -> Json {
+impl Cell for ParallelRun {
+    const GATE: &'static str = "parallel gate";
+
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("workload", Json::s(&*self.workload)),
             ("workers", Json::U(u64::from(self.workers))),
@@ -150,12 +144,26 @@ impl ParallelRun {
             ("merge_tail", Json::U(self.merge_tail)),
         ])
     }
+
+    /// Cell counts per contract clause, then the handoffs observed.
+    fn headline(runs: &[ParallelRun]) -> String {
+        let count = |p: fn(&ParallelRun) -> bool| runs.iter().filter(|r| p(r)).count();
+        let handoffs: u64 = runs.iter().map(|r| r.handoffs).sum();
+        format!(
+            "parallel-matrix: {} cells — {} outcome-equivalent, {} audit-clean, \
+             {} report-identical\nregion handoffs observed: {handoffs}\n",
+            runs.len(),
+            count(|r| r.outcomes_match),
+            count(|r| r.audits_clean),
+            count(|r| r.reports_match),
+        )
+    }
 }
 
 /// Root cycles after the last `join_wait_end` in the root's scheduler
 /// log: everything the main task does once the final child has been
 /// merged — shard renumbering, result folding, teardown.
-fn merge_tail(reports: &[TaskReport]) -> u64 {
+pub fn merge_tail(reports: &[TaskReport]) -> u64 {
     let Some(root) = reports.first() else { return 0 };
     let last_join = root
         .sched
@@ -168,85 +176,16 @@ fn merge_tail(reports: &[TaskReport]) -> u64 {
     root.cycles.saturating_sub(last_join)
 }
 
-/// The full matrix report: every cell plus the contract violations.
-#[derive(Debug, Clone)]
-pub struct ParallelMatrixReport {
-    /// Workload scale the matrix ran at.
-    pub scale: u32,
-    /// The deterministic-scheduler seed every cell used.
-    pub seed: u64,
-    /// All cells, workload-major, workers-then-configuration order.
-    pub runs: Vec<ParallelRun>,
-    /// Parallel-contract violations (empty = the gate passes).
-    pub violations: Vec<String>,
-}
-
-impl ParallelMatrixReport {
-    /// Whether the parallel gate passes.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Encodes the report, schema string first. Virtual-clock only: no
-    /// wall-clock number ever appears, so the encoding is
-    /// byte-deterministic.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::s(SCHEMA)),
-            ("scale", Json::U(u64::from(self.scale))),
-            ("seed", Json::U(self.seed)),
-            ("passed", Json::Bool(self.passed())),
-            ("violations", Json::A(self.violations.iter().map(|v| Json::s(&**v)).collect())),
-            ("runs", Json::A(self.runs.iter().map(ParallelRun::to_json).collect())),
-        ])
-    }
-
-    /// Renders the report as pretty-printed JSON (the
-    /// `PARALLELMATRIX_rc.json` format).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render_pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human summary: cell counts, then violations.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let matching = self.runs.iter().filter(|r| r.outcomes_match).count();
-        let clean = self.runs.iter().filter(|r| r.audits_clean).count();
-        let identical = self.runs.iter().filter(|r| r.reports_match).count();
-        let _ = writeln!(
-            out,
-            "parallel-matrix: {} cells — {} outcome-equivalent, {} audit-clean, {} report-identical",
-            self.runs.len(),
-            matching,
-            clean,
-            identical,
-        );
-        let handoffs: u64 = self.runs.iter().map(|r| r.handoffs).sum();
-        let _ = writeln!(out, "region handoffs observed: {handoffs}");
-        if self.passed() {
-            let _ = writeln!(out, "parallel gate: PASS");
-        } else {
-            let _ = writeln!(out, "parallel gate: FAIL ({} violations)", self.violations.len());
-            for v in &self.violations {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        out
-    }
-}
-
 /// Runs the full matrix over all eight workloads.
-pub fn collect(scale: Scale) -> ParallelMatrixReport {
+pub fn collect(scale: Scale) -> Report<ParallelRun> {
     let names: Vec<&str> = rc_workloads::all().iter().map(|w| w.name).collect();
     collect_for(scale, &names)
 }
 
 /// Runs the matrix over the named workloads: every [`WORKERS`] task count
 /// under every [`configs`] configuration, sequential vs deterministic.
-pub fn collect_for(scale: Scale, workloads: &[&str]) -> ParallelMatrixReport {
+/// A cell that panics is recorded as a violation and left out of `runs`.
+pub fn collect_for(scale: Scale, workloads: &[&str]) -> Report<ParallelRun> {
     let mut runs = Vec::new();
     let mut violations = Vec::new();
     for &name in workloads {
@@ -263,53 +202,78 @@ pub fn collect_for(scale: Scale, workloads: &[&str]) -> ParallelMatrixReport {
                 }
             };
             for (cfg_name, cfg) in configs() {
-                let seq = run_audited(&compiled, &cfg);
-                let det = run_audited(&compiled, &cfg.clone().det_sched(DET_SEED));
-                let cp = match critpath_analyze(&det.task_reports) {
-                    Ok(cp) => Some(cp),
-                    Err(e) => {
-                        violations.push(format!("{name}/w{workers}/{cfg_name}: critpath: {e}"));
-                        None
-                    }
+                let key = format!("{name}/w{workers}/{cfg_name}");
+                let Some((cell, cp)) = catch_cell(&key, &mut violations, || {
+                    run_cell(&compiled, name, workers, cfg_name, &cfg)
+                }) else {
+                    continue;
                 };
-                let cell = ParallelRun {
-                    workload: name.to_string(),
-                    workers,
-                    config: cfg_name.to_string(),
-                    seq_outcome: outcome_key(&seq.outcome),
-                    det_outcome: outcome_key(&det.outcome),
-                    outcomes_match: outcome_key(&seq.outcome) == outcome_key(&det.outcome),
-                    audits_clean: matches!(seq.audit, Some(Ok(())))
-                        && matches!(det.audit, Some(Ok(()))),
-                    reports_match: seq.stats == det.stats
-                        && seq.cycles == det.cycles
-                        && seq.steps == det.steps
-                        && seq.handoffs == det.handoffs,
-                    handoffs: det.handoffs.len() as u64,
-                    cycles: det.cycles,
-                    steps: det.steps,
-                    objects: det.stats.objects_allocated,
-                    work: cp.as_ref().map_or(0, |c| c.work),
-                    span: cp.as_ref().map_or(0, |c| c.span),
-                    ideal_milli: cp.as_ref().map_or(0, |c| c.ideal_parallelism_milli()),
-                    root_serial: cp.as_ref().map_or(0, |c| c.root_serial()),
-                    overlapped: cp.as_ref().map_or(0, |c| c.overlapped()),
-                    blocked: cp.as_ref().map_or(0, |c| c.blocked_total()),
-                    merge_tail: merge_tail(&det.task_reports),
-                };
-                gate_cell(&cell, workers, cp.is_some(), &mut violations);
+                if let Err(e) = &cp {
+                    violations.push(format!("{key}: critpath: {e}"));
+                }
+                gate_cell(&cell, workers, cp.as_ref().ok(), &mut violations);
                 runs.push(cell);
             }
         }
     }
-    ParallelMatrixReport { scale: scale.0, seed: DET_SEED, runs, violations }
+    Report {
+        schema: Schema::ParallelMatrix,
+        header: vec![("scale", scale.0.into()), ("seed", DET_SEED)],
+        runs,
+        violations,
+    }
 }
 
-/// Applies the parallel contract to one cell. `critpath_ok` is whether
-/// the analyzer accepted the cell's task reports (a rejection already
-/// recorded its own violation, so the attribution identities are only
-/// checked when it did).
-fn gate_cell(cell: &ParallelRun, workers: u32, critpath_ok: bool, violations: &mut Vec<String>) {
+/// Runs one cell sequentially and under the deterministic scheduler, and
+/// analyzes the interleaved run's critical path.
+fn run_cell(
+    compiled: &Compiled,
+    name: &str,
+    workers: u32,
+    cfg_name: &str,
+    cfg: &RunConfig,
+) -> (ParallelRun, Result<CritPath, String>) {
+    let seq = run_audited(compiled, cfg);
+    let det = run_audited(compiled, &cfg.clone().det_sched(DET_SEED));
+    let cp = critpath_analyze(&det.task_reports);
+    let c = cp.as_ref().ok();
+    let cell = ParallelRun {
+        workload: name.to_string(),
+        workers,
+        config: cfg_name.to_string(),
+        seq_outcome: seq.outcome.key(),
+        det_outcome: det.outcome.key(),
+        outcomes_match: seq.outcome.key() == det.outcome.key(),
+        audits_clean: matches!(seq.audit, Some(Ok(()))) && matches!(det.audit, Some(Ok(()))),
+        reports_match: seq.stats == det.stats
+            && seq.cycles == det.cycles
+            && seq.steps == det.steps
+            && seq.handoffs == det.handoffs,
+        handoffs: det.handoffs.len() as u64,
+        cycles: det.cycles,
+        steps: det.steps,
+        objects: det.stats.objects_allocated,
+        work: c.map_or(0, |c| c.work),
+        span: c.map_or(0, |c| c.span),
+        ideal_milli: c.map_or(0, CritPath::ideal_parallelism_milli),
+        root_serial: c.map_or(0, CritPath::root_serial),
+        overlapped: c.map_or(0, CritPath::overlapped),
+        blocked: c.map_or(0, CritPath::blocked_total),
+        merge_tail: merge_tail(&det.task_reports),
+    };
+    (cell, cp)
+}
+
+/// Applies the parallel contract to one cell. `cp` is the cell's
+/// critical path when the analyzer accepted its task reports (a
+/// rejection already recorded its own violation, so the work/span
+/// identities are only checked when it did).
+fn gate_cell(
+    cell: &ParallelRun,
+    workers: u32,
+    cp: Option<&CritPath>,
+    violations: &mut Vec<String>,
+) {
     let key = cell.key();
     if !cell.outcomes_match {
         violations.push(format!(
@@ -335,42 +299,47 @@ fn gate_cell(cell: &ParallelRun, workers: u32, critpath_ok: bool, violations: &m
     if cell.seq_outcome != expect {
         violations.push(format!("{key}: expected {expect}, got {}", cell.seq_outcome));
     }
-    if critpath_ok {
-        // Attribution identities. The matrix configurations carry no
-        // base-compiler factor, so Σ per-task cycles must equal the
-        // merged virtual clock; and because `reports_match` pins the
-        // sequential run to the same cycle count, `overlapped` is
-        // exactly the sequential-vs-ideal-parallel cycle gap.
-        if cell.work != cell.cycles {
-            violations.push(format!(
-                "{key}: work {} != merged cycles {}",
-                cell.work, cell.cycles
-            ));
-        }
-        if cell.span > cell.work {
-            violations.push(format!("{key}: span {} exceeds work {}", cell.span, cell.work));
-        }
-        if cell.span + cell.overlapped != cell.work {
-            violations.push(format!(
-                "{key}: span {} + overlapped {} != work {}",
-                cell.span, cell.overlapped, cell.work
-            ));
-        }
-        if cell.root_serial > cell.span {
-            violations.push(format!(
-                "{key}: root-serial {} exceeds span {}",
-                cell.root_serial, cell.span
-            ));
-        }
-        if cell.merge_tail > cell.root_serial {
-            // The merge tail runs after every child has ended, so it is
-            // always on the critical path and root-executed.
-            violations.push(format!(
-                "{key}: merge tail {} exceeds root-serial path share {}",
-                cell.merge_tail, cell.root_serial
-            ));
+    if let Some(cp) = cp {
+        for v in identity_violations(cp, cell.cycles, cell.merge_tail) {
+            violations.push(format!("{key}: {v}"));
         }
     }
+}
+
+/// The work/span identities of one analyzed parallel run, one message
+/// per identity that fails. `cycles` is the merged virtual clock and
+/// `merge_tail` the root's post-join cycles ([`merge_tail`]). The
+/// matrix configurations carry no base-compiler factor, so Σ per-task
+/// cycles must equal the merged clock; and because `reports_match`
+/// pins the sequential run to the same cycle count, `overlapped` is
+/// exactly the sequential-vs-ideal-parallel cycle gap.
+pub fn identity_violations(cp: &CritPath, cycles: u64, merge_tail: u64) -> Vec<String> {
+    let mut v = Vec::new();
+    if cp.work != cycles {
+        v.push(format!("work {} != merged cycles {cycles}", cp.work));
+    }
+    if cp.span > cp.work {
+        v.push(format!("span {} exceeds work {}", cp.span, cp.work));
+    } else if cp.span + cp.overlapped() != cp.work {
+        v.push(format!(
+            "span {} + overlapped {} != work {}",
+            cp.span,
+            cp.overlapped(),
+            cp.work
+        ));
+    }
+    if cp.root_serial() > cp.span {
+        v.push(format!("root-serial {} exceeds span {}", cp.root_serial(), cp.span));
+    }
+    if merge_tail > cp.root_serial() {
+        // The merge tail runs after every child has ended, so it is
+        // always on the critical path and root-executed.
+        v.push(format!(
+            "merge tail {merge_tail} exceeds root-serial path share {}",
+            cp.root_serial()
+        ));
+    }
+    v
 }
 
 /// Renders the per-cell speedup-attribution table folded into
@@ -378,7 +347,7 @@ fn gate_cell(cell: &ParallelRun, workers: u32, critpath_ok: bool, violations: &m
 /// (`span + overlapped == work`, gated above), restricted to the `lea`
 /// configuration — the attribution is schedule-derived and identical in
 /// shape across configurations.
-pub fn attribution_markdown(rep: &ParallelMatrixReport) -> String {
+pub fn attribution_markdown(rep: &Report<ParallelRun>) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -461,37 +430,11 @@ pub fn speedup_probe(scale: Scale) -> Option<Vec<Speedup>> {
     Some(out)
 }
 
-/// Parses a serialized matrix report, validating the schema string, and
-/// returns `(passed, violations)`.
-pub fn parse_report(text: &str) -> Result<(bool, Vec<String>), String> {
-    let doc =
-        Json::parse(text).map_err(|e| format!("parallel-matrix report: not valid JSON: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return Err(format!("parallel-matrix report: schema {s:?}, expected {SCHEMA:?}"))
-        }
-        None => return Err("parallel-matrix report: missing schema field".to_string()),
-    }
-    let passed = doc
-        .get("passed")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| "parallel-matrix report: missing passed flag".to_string())?;
-    let violations = doc
-        .get("violations")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "parallel-matrix report: missing violations array".to_string())?
-        .iter()
-        .filter_map(|v| v.as_str().map(str::to_string))
-        .collect();
-    Ok((passed, violations))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_matrix() -> ParallelMatrixReport {
+    fn tiny_matrix() -> Report<ParallelRun> {
         collect_for(Scale::TINY, &["tile", "moss"])
     }
 
@@ -541,16 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn report_is_byte_deterministic_and_round_trips() {
+    fn report_is_byte_deterministic() {
         let a = tiny_matrix().render();
         let b = tiny_matrix().render();
         assert_eq!(a, b, "same tree must produce byte-identical reports");
-        let (passed, violations) = parse_report(&a).unwrap();
-        assert!(passed);
-        assert!(violations.is_empty());
-        assert!(parse_report("not json").is_err());
-        let other = a.replace(SCHEMA, "rc-bench-parallelmatrix/v0");
-        assert!(parse_report(&other).unwrap_err().contains("schema"));
+        assert!(a.contains(SCHEMA), "{a}");
     }
 
     #[test]

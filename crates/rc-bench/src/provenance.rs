@@ -20,7 +20,7 @@
 //! carry `file:line`, the dynamic outcome and the static reason. Every
 //! timestamp is virtual-clock, so two exports of the same workload ×
 //! configuration are byte-identical — which is what the CI determinism
-//! job `cmp`s.
+//! job compares.
 
 use std::collections::BTreeMap;
 

@@ -26,19 +26,20 @@
 //! Violations are collected into the report (and fail the gate) rather
 //! than thrown, so one bad cell never hides the rest. Every number is
 //! virtual-clock, so two reports from the same tree are byte-identical —
-//! CI runs the binary twice and `cmp`s. The schema string [`SCHEMA`]
-//! names the layout; see `docs/ROBUSTNESS.md`.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! CI runs the binary twice and compares the bytes. The schema string
+//! [`SCHEMA`] names the layout; see `docs/ROBUSTNESS.md`.
 
 use rc_lang::{supervise_compiled, CheckMode, RecoveryPolicy, RunConfig, SupervisionReport};
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{Scale, Workload};
 use region_rt::{FaultMode, FaultPlan, Json};
 
+use crate::matrix::{catch_cell, Cell, Report};
+use crate::schema::Schema;
+
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
-pub const SCHEMA: &str = crate::schema::Schema::RecoveryMatrix.id();
+pub const SCHEMA: &str = Schema::RecoveryMatrix.id();
 
 /// What a scenario's supervision must end as for the gate to pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,9 +164,12 @@ impl RecoveryRun {
     pub fn key(&self) -> String {
         format!("{}/{}/{}", self.workload, self.scenario, self.config)
     }
+}
 
-    /// Encodes the cell as one JSON object.
-    pub fn to_json(&self) -> Json {
+impl Cell for RecoveryRun {
+    const GATE: &'static str = "recovery gate";
+
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("workload", Json::s(&*self.workload)),
             ("scenario", Json::s(&*self.scenario)),
@@ -187,80 +191,31 @@ impl RecoveryRun {
             ),
         ])
     }
-}
 
-/// The full matrix report: every cell plus the contract violations.
-#[derive(Debug, Clone)]
-pub struct RecoveryMatrixReport {
-    /// Workload scale the matrix ran at.
-    pub scale: u32,
-    /// All cells, workload-major, scenario-then-configuration order.
-    pub runs: Vec<RecoveryRun>,
-    /// Recovery-contract violations (empty = the gate passes).
-    pub violations: Vec<String>,
-}
-
-impl RecoveryMatrixReport {
-    /// Whether the recovery gate passes.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Encodes the report, schema string first.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::s(SCHEMA)),
-            ("scale", Json::U(self.scale as u64)),
-            ("passed", Json::Bool(self.passed())),
-            ("violations", Json::A(self.violations.iter().map(|v| Json::s(&**v)).collect())),
-            ("runs", Json::A(self.runs.iter().map(RecoveryRun::to_json).collect())),
-        ])
-    }
-
-    /// Renders the report as pretty-printed JSON (the
-    /// `RECOVERYMATRIX_rc.json` format).
-    pub fn render(&self) -> String {
-        let mut s = self.to_json().render_pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human summary: cell counts by verdict, then violations.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let count = |tag: &str| self.runs.iter().filter(|r| r.outcome == tag).count();
-        let _ = writeln!(
-            out,
-            "recovery-matrix: {} cells — {} completed ({} via recovery), {} exhausted, {} other",
-            self.runs.len(),
+    /// Cell counts by verdict, then the re-executions.
+    fn headline(runs: &[RecoveryRun]) -> String {
+        let count = |tag: &str| runs.iter().filter(|r| r.outcome == tag).count();
+        let retries: u64 = runs.iter().map(|r| r.attempts.saturating_sub(1) as u64).sum();
+        format!(
+            "recovery-matrix: {} cells — {} completed ({} via recovery), {} exhausted, {} other\n\
+             re-executions: {retries}\n",
+            runs.len(),
             count("completed"),
-            self.runs.iter().filter(|r| r.recovered).count(),
+            runs.iter().filter(|r| r.recovered).count(),
             count("policy-exhausted"),
-            self.runs.len() - count("completed") - count("policy-exhausted"),
-        );
-        let retries: u64 = self.runs.iter().map(|r| r.attempts.saturating_sub(1) as u64).sum();
-        let _ = writeln!(out, "re-executions: {retries}");
-        if self.passed() {
-            let _ = writeln!(out, "recovery gate: PASS");
-        } else {
-            let _ = writeln!(out, "recovery gate: FAIL ({} violations)", self.violations.len());
-            for v in &self.violations {
-                let _ = writeln!(out, "  - {v}");
-            }
-        }
-        out
+            runs.len() - count("completed") - count("policy-exhausted"),
+        )
     }
 }
 
 /// Runs the full matrix over all eight workloads.
-pub fn collect(scale: Scale) -> RecoveryMatrixReport {
+pub fn collect(scale: Scale) -> Report<RecoveryRun> {
     collect_for(scale, &rc_workloads::all())
 }
 
 /// Runs the matrix over the given workloads: every [`scenarios`] column
 /// under every [`configs`] configuration, supervised.
-pub fn collect_for(scale: Scale, workloads: &[Workload]) -> RecoveryMatrixReport {
+pub fn collect_for(scale: Scale, workloads: &[Workload]) -> Report<RecoveryRun> {
     let mut runs = Vec::new();
     let mut violations = Vec::new();
     for w in workloads {
@@ -271,24 +226,24 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> RecoveryMatrixReport
                     .with_faults(scenario.plan.clone())
                     .with_page_budget(scenario.page_budget);
                 let key = format!("{}/{}/{name}", w.name, scenario.name);
-                // `supervise_compiled` runs the interpreter on a scoped
-                // thread that re-raises panics here, so the catch
-                // observes them all.
-                let cell = match catch_unwind(AssertUnwindSafe(|| {
+                let supervised = catch_cell(&key, &mut violations, || {
                     supervise_compiled(&c, &cfg, &scenario.policy)
-                })) {
-                    Ok(rep) => cell_of(w.name, scenario.name, name, rep),
-                    Err(payload) => {
-                        violations.push(format!("{key}: panicked: {}", panic_msg(&payload)));
-                        panicked_cell(w.name, scenario.name, name)
-                    }
+                });
+                let cell = match supervised {
+                    Some(rep) => cell_of(w.name, scenario.name, name, rep),
+                    None => panicked_cell(w.name, scenario.name, name),
                 };
                 gate_cell(&key, &scenario, &cell, &mut violations);
                 runs.push(cell);
             }
         }
     }
-    RecoveryMatrixReport { scale: scale.0, runs, violations }
+    Report {
+        schema: Schema::RecoveryMatrix,
+        header: vec![("scale", scale.0.into())],
+        runs,
+        violations,
+    }
 }
 
 /// Applies the recovery contract to one cell.
@@ -367,47 +322,11 @@ fn panicked_cell(workload: &str, scenario: &str, config: &str) -> RecoveryRun {
     }
 }
 
-fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Parses a serialized matrix report, validating the schema string, and
-/// returns `(passed, violations)`.
-pub fn parse_report(text: &str) -> Result<(bool, Vec<String>), String> {
-    let doc =
-        Json::parse(text).map_err(|e| format!("recovery-matrix report: not valid JSON: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => {
-            return Err(format!("recovery-matrix report: schema {s:?}, expected {SCHEMA:?}"))
-        }
-        None => return Err("recovery-matrix report: missing schema field".to_string()),
-    }
-    let passed = doc
-        .get("passed")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| "recovery-matrix report: missing passed flag".to_string())?;
-    let violations = doc
-        .get("violations")
-        .and_then(Json::as_array)
-        .ok_or_else(|| "recovery-matrix report: missing violations array".to_string())?
-        .iter()
-        .filter_map(|v| v.as_str().map(str::to_string))
-        .collect();
-    Ok((passed, violations))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_matrix() -> RecoveryMatrixReport {
+    fn tiny_matrix() -> Report<RecoveryRun> {
         collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
     }
 
@@ -440,15 +359,10 @@ mod tests {
     }
 
     #[test]
-    fn report_is_byte_deterministic_and_round_trips() {
+    fn report_is_byte_deterministic() {
         let a = tiny_matrix().render();
         let b = tiny_matrix().render();
         assert_eq!(a, b, "same tree must produce byte-identical reports");
-        let (passed, violations) = parse_report(&a).unwrap();
-        assert!(passed);
-        assert!(violations.is_empty());
-        assert!(parse_report("not json").is_err());
-        let other = a.replace(SCHEMA, "rc-bench-recoverymatrix/v0");
-        assert!(parse_report(&other).unwrap_err().contains("schema"));
+        assert!(a.contains(SCHEMA), "{a}");
     }
 }

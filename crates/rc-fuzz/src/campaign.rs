@@ -3,7 +3,7 @@
 //!
 //! A campaign is a pure function of its [`CampaignConfig`]: the report —
 //! rendered JSON included — is byte-identical across runs, which CI
-//! exploits by running the harness twice and `cmp`-ing the outputs.
+//! exploits by running the harness twice and comparing the outputs.
 
 use std::path::PathBuf;
 

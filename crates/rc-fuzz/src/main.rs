@@ -21,7 +21,7 @@
 //!   `--no-spawn` suppresses `spawn`/`join` sections).
 //!
 //! The output is byte-deterministic for fixed options: CI runs the
-//! campaign twice and `cmp`s the reports. Exits 0 when every oracle
+//! campaign twice and compares the reports byte for byte. Exits 0 when every oracle
 //! assertion held, 1 otherwise.
 
 use std::path::PathBuf;

@@ -70,6 +70,20 @@ impl Outcome {
     pub fn is_exit(&self) -> bool {
         matches!(self, Outcome::Exit(_))
     }
+
+    /// Collapses the outcome to an allocator- and schedule-independent
+    /// key. Abort and trap payloads keep only the error *kind*: the full
+    /// error carries addresses and region identifiers that differ across
+    /// backends.
+    pub fn key(&self) -> String {
+        match self {
+            Outcome::Exit(code) => format!("exit:{code}"),
+            Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
+            Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
+            Outcome::AssertFailed => "assert-failed".to_string(),
+            Outcome::StepLimit => "step-limit".to_string(),
+        }
+    }
 }
 
 /// The result of executing a module.
@@ -1789,6 +1803,13 @@ mod tests {
             Outcome::Exit(n) => n,
             other => panic!("program did not exit cleanly: {other:?}"),
         }
+    }
+
+    #[test]
+    fn outcome_keys_are_stable_tags() {
+        assert_eq!(Outcome::Exit(7).key(), "exit:7");
+        assert_eq!(Outcome::AssertFailed.key(), "assert-failed");
+        assert_eq!(Outcome::StepLimit.key(), "step-limit");
     }
 
     pub const FIG1: &str = r#"

@@ -21,7 +21,7 @@
 //!   and under `qs` with check counting, which must behave like `nq`
 //!   while tallying the failed check.
 
-use rc_lang::{prepare, run, run_audited, CheckMode, Outcome, RunConfig};
+use rc_lang::{prepare, run, run_audited, CheckMode, RunConfig};
 
 // ---------------------------------------------------------------------------
 // Static half: sema accept/reject.
@@ -417,19 +417,9 @@ static DYNAMIC_MATRIX: &[(&str, &str, Dynamic)] = &[
     ),
 ];
 
-fn outcome_key(o: &Outcome) -> String {
-    match o {
-        Outcome::Exit(code) => format!("exit:{code}"),
-        Outcome::Aborted(e) => format!("abort:{}", e.kind_name()),
-        Outcome::Trapped(e) => format!("trap:{}", e.kind_name()),
-        Outcome::AssertFailed => "assert-failed".to_string(),
-        Outcome::StepLimit => "step-limit".to_string(),
-    }
-}
-
 fn run_with(src: &str, config: RunConfig) -> String {
     let compiled = prepare(src).expect("dynamic matrix programs compile");
-    outcome_key(&run(&compiled, &config).outcome)
+    run(&compiled, &config).outcome.key()
 }
 
 #[test]
@@ -475,7 +465,7 @@ fn violating_rows_complete_under_qs_with_check_counting() {
         if let Dynamic::FailCheck(code) = want {
             let compiled = prepare(&with_preamble(body)).expect("compiles");
             let r = run_audited(&compiled, &RunConfig::rc(CheckMode::Qs).counting_checks());
-            assert_eq!(outcome_key(&r.outcome), format!("exit:{code}"), "{name}");
+            assert_eq!(r.outcome.key(), format!("exit:{code}"), "{name}");
             assert!(matches!(r.audit, Some(Ok(()))), "{name}: {:?}", r.audit);
             let counts = r.check_counts.as_deref().expect("counting was on");
             assert!(counts.total_fails() >= 1, "{name}: the violation must be tallied");
