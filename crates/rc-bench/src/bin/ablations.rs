@@ -26,9 +26,13 @@ fn cycles(c: &rc_lang::Compiled, cfg: &RunConfig) -> u64 {
 }
 
 fn main() {
-    let scale = rc_bench::scale_from_args();
-    let trace_path = rc_bench::value_from_args("--trace");
-    let profile = rc_bench::flag_from_args("--profile") || trace_path.is_some();
+    let args = rc_bench::Args::from_env(
+        "usage: ablations [--scale N] [--profile] [--trace PATH]",
+        &["--profile"],
+    );
+    let scale = args.scale();
+    let trace_path = args.value("--trace");
+    let profile = args.flag("--profile") || trace_path.is_some();
     let mut trace_out = String::new();
     let mut profiles = String::new();
     println!("workload   renumber    gap-based   Δ%    deferred-Δ%  checks@23-Δ%");
@@ -76,7 +80,7 @@ fn main() {
         println!("\n=== telemetry profiles (RC inf, traced baseline runs) ===\n{profiles}");
     }
     if let Some(path) = trace_path {
-        std::fs::write(&path, trace_out).expect("write trace jsonl");
+        std::fs::write(path, trace_out).expect("write trace jsonl");
         eprintln!("wrote raw event trace to {path}");
     }
 }

@@ -17,27 +17,17 @@ use std::process::ExitCode;
 use rc_bench::{critpath, parallelmatrix};
 use rc_lang::{CheckMode, RunConfig};
 
+const USAGE: &str = "usage: critpath [--workload NAME] [--tasks N] [--config lea|GC|qs] \
+                     [--scale N] [--det-seed N] [--out PATH]";
+
 fn main() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "moss".to_string());
-    let tasks: u32 = match rc_bench::value_from_args("--tasks").map(|v| v.parse()) {
-        None => 4,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("critpath: --tasks wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let seed: u64 = match rc_bench::value_from_args("--det-seed").map(|v| v.parse()) {
-        None => critpath::DET_SEED,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("critpath: --det-seed wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "lea".to_string());
-    let config = match cname.as_str() {
+    let args = rc_bench::Args::from_env(USAGE, &[]);
+    let scale = args.scale();
+    let wname = args.value("--workload").unwrap_or("moss");
+    let tasks: u32 = args.number("--tasks", 4);
+    let seed: u64 = args.number("--det-seed", critpath::DET_SEED);
+    let cname = args.value("--config").unwrap_or("lea");
+    let config = match cname {
         "lea" => RunConfig::lea(),
         "GC" => RunConfig::gc(),
         "qs" => RunConfig::rc(CheckMode::Qs),
@@ -47,7 +37,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let run = match critpath::collect(&wname, tasks, &cname, &config, scale, seed) {
+    let run = match critpath::collect(wname, tasks, cname, &config, scale, seed) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("critpath: {e}");
@@ -57,14 +47,14 @@ fn main() -> ExitCode {
 
     print!("{}", run.render_text());
 
-    if let Some(path) = rc_bench::value_from_args("--out") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
+    if let Some(path) = args.value("--out") {
+        if let Some(dir) = std::path::Path::new(path).parent() {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("critpath: {}: {e}", dir.display());
                 return ExitCode::from(2);
             }
         }
-        if let Err(e) = std::fs::write(&path, run.render()) {
+        if let Err(e) = std::fs::write(path, run.render()) {
             eprintln!("critpath: {path}: {e}");
             return ExitCode::from(2);
         }

@@ -16,6 +16,7 @@ use std::process::ExitCode;
 use rc_bench::{faultmatrix, matrix};
 
 fn main() -> ExitCode {
-    let report = faultmatrix::collect(rc_bench::scale_from_args());
-    matrix::main("fault-matrix", &report, rc_bench::value_from_args("--out").as_deref())
+    let args = rc_bench::Args::from_env("usage: fault-matrix [--scale N] [--out PATH]", &[]);
+    let report = faultmatrix::collect(args.scale());
+    matrix::main("fault-matrix", &report, args.value("--out"))
 }

@@ -1,7 +1,7 @@
 //! Regenerates the paper's fig7. Usage: `cargo run -p rc-bench --bin fig7 [--scale N]`.
 
 fn main() {
-    let scale = rc_bench::scale_from_args();
-    let rows = rc_bench::report::fig7(scale);
-    println!("{}", rc_bench::report::text_table(&rows));
+    let args = rc_bench::Args::from_env("usage: fig7 [--scale N]", &[]);
+    let eval = rc_bench::report::Evaluation::collect(args.scale());
+    println!("{}", rc_bench::report::text_table(&rc_bench::report::fig7(&eval)));
 }

@@ -24,12 +24,16 @@ use std::process::ExitCode;
 use rc_bench::{matrix, parallelmatrix};
 
 fn main() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    if rc_bench::flag_from_args("--speedup") {
+    let args = rc_bench::Args::from_env(
+        "usage: parallel-matrix [--scale N] [--out PATH] [--speedup]",
+        &["--speedup"],
+    );
+    let scale = args.scale();
+    if args.flag("--speedup") {
         return speedup(scale);
     }
     let report = parallelmatrix::collect(scale);
-    matrix::main("parallel-matrix", &report, rc_bench::value_from_args("--out").as_deref())
+    matrix::main("parallel-matrix", &report, args.value("--out"))
 }
 
 fn speedup(scale: rc_workloads::Scale) -> ExitCode {

@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use rc_bench::inspect;
+use rc_bench::{inspect, Args};
 use rc_lang::{CheckMode, RunConfig};
 
 const USAGE: &str = "\
@@ -50,40 +50,19 @@ fn load_file(path: &str) -> Result<region_rt::HeapSnapshot, String> {
     inspect::load(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn limit_from_args() -> usize {
-    rc_bench::value_from_args("--limit").and_then(|v| v.parse().ok()).unwrap_or(20)
-}
-
-/// The first positional (non `--flag value`) arguments after the
-/// subcommand.
-fn positionals() -> Vec<String> {
-    let args: Vec<String> = std::env::args().skip(2).collect();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].clone());
-            i += 1;
-        }
-    }
-    out
-}
-
-fn cmd_dump() -> Result<(), String> {
-    let wname = rc_bench::value_from_args("--workload").ok_or("dump needs --workload")?;
-    let cname = rc_bench::value_from_args("--config").ok_or("dump needs --config")?;
-    let out = rc_bench::value_from_args("--out").ok_or("dump needs --out")?;
+fn cmd_dump(args: &Args) -> Result<(), String> {
+    let wname = args.value("--workload").ok_or("dump needs --workload")?;
+    let cname = args.value("--config").ok_or("dump needs --config")?;
+    let out = args.value("--out").ok_or("dump needs --out")?;
     let workload =
-        rc_workloads::by_name(&wname).ok_or_else(|| format!("unknown workload {wname:?}"))?;
+        rc_workloads::by_name(wname).ok_or_else(|| format!("unknown workload {wname:?}"))?;
     let config =
-        config_by_name(&cname).ok_or_else(|| format!("unknown config {cname:?}"))?;
-    let snap = inspect::dump(&workload, &cname, &config, rc_bench::scale_from_args())?;
-    if let Some(dir) = std::path::Path::new(&out).parent() {
+        config_by_name(cname).ok_or_else(|| format!("unknown config {cname:?}"))?;
+    let snap = inspect::dump(&workload, cname, &config, args.scale())?;
+    if let Some(dir) = std::path::Path::new(out).parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     }
-    std::fs::write(&out, snap.render()).map_err(|e| format!("{out}: {e}"))?;
+    std::fs::write(out, snap.render()).map_err(|e| format!("{out}: {e}"))?;
     println!(
         "{} — reason {}, {} live words, {} pages → {out}",
         snap.label,
@@ -95,17 +74,15 @@ fn cmd_dump() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let cmd = match std::env::args().nth(1) {
-        Some(c) => c,
-        None => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let args = Args::from_env(USAGE, &[]);
+    let Some((cmd, pos)) = args.positionals().split_first() else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
+    let limit = args.number("--limit", 20);
     let result = match cmd.as_str() {
-        "dump" => cmd_dump(),
+        "dump" => cmd_dump(&args),
         "summary" | "top" | "leaks" => {
-            let pos = positionals();
             match pos.first() {
                 None => Err(format!("{cmd} needs a snapshot path\n{USAGE}")),
                 Some(path) => load_file(path).map(|s| {
@@ -113,19 +90,18 @@ fn main() -> ExitCode {
                         "{}",
                         match cmd.as_str() {
                             "summary" => inspect::summary(&s),
-                            "top" => inspect::top(&s, limit_from_args()),
-                            _ => inspect::leaks(&s, limit_from_args()),
+                            "top" => inspect::top(&s, limit),
+                            _ => inspect::leaks(&s, limit),
                         }
                     );
                 }),
             }
         }
         "diff" => {
-            let pos = positionals();
             match (pos.first(), pos.get(1)) {
                 (Some(a), Some(b)) => load_file(a).and_then(|sa| {
                     load_file(b).map(|sb| {
-                        print!("{}", inspect::diff(&sa, &sb, limit_from_args()));
+                        print!("{}", inspect::diff(&sa, &sb, limit));
                     })
                 }),
                 _ => Err(format!("diff needs two snapshot paths\n{USAGE}")),

@@ -29,12 +29,16 @@ use rc_workloads::Scale;
 use region_rt::SnapshotReason;
 
 fn main() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    if let Some(dir) = rc_bench::value_from_args("--dump-pair") {
-        return dump_pair(&dir, scale);
+    let args = rc_bench::Args::from_env(
+        "usage: recovery-matrix [--scale N] [--out PATH] [--dump-pair DIR]",
+        &[],
+    );
+    let scale = args.scale();
+    if let Some(dir) = args.value("--dump-pair") {
+        return dump_pair(dir, scale);
     }
     let report = recoverymatrix::collect(scale);
-    matrix::main("recovery-matrix", &report, rc_bench::value_from_args("--out").as_deref())
+    matrix::main("recovery-matrix", &report, args.value("--out"))
 }
 
 /// Replays the budget-squeeze recovery story on `moss/qs` — the

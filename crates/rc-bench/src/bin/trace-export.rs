@@ -19,22 +19,28 @@
 
 use std::process::ExitCode;
 
-use rc_bench::{critpath, provenance};
+use rc_bench::{critpath, provenance, Args};
 use rc_lang::{CheckMode, RunConfig};
+use rc_workloads::driver::prepare_workload;
+
+const USAGE: &str = "\
+usage: trace-export [--workload NAME] [--config nq|qs|inf|nc] [--scale N] [--out PATH]
+       trace-export --parallel [--workload NAME] [--tasks N] [--det-seed N] [--scale N] [--out PATH]";
 
 fn main() -> ExitCode {
-    if rc_bench::flag_from_args("--parallel") {
-        return parallel();
+    let args = Args::from_env(USAGE, &["--parallel"]);
+    if args.flag("--parallel") {
+        return parallel(&args);
     }
-    let scale = rc_bench::scale_from_args();
-    let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "cfrac".to_string());
-    let cname = rc_bench::value_from_args("--config").unwrap_or_else(|| "qs".to_string());
+    let scale = args.scale();
+    let wname = args.value("--workload").unwrap_or("cfrac");
+    let cname = args.value("--config").unwrap_or("qs");
 
-    let Some(workload) = rc_workloads::by_name(&wname) else {
+    let Some(workload) = rc_workloads::by_name(wname) else {
         eprintln!("trace-export: unknown workload {wname:?}");
         return ExitCode::from(2);
     };
-    let config = match cname.as_str() {
+    let config = match cname {
         "nq" => RunConfig::rc(CheckMode::Nq),
         "qs" => RunConfig::rc(CheckMode::Qs),
         "inf" => RunConfig::rc_inf(),
@@ -45,9 +51,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let export = provenance::collect(&workload, &cname, &config, scale);
-    let out = rc_bench::value_from_args("--out")
-        .unwrap_or_else(|| format!("target/experiments/trace_{wname}_{cname}.json"));
+    let out = args
+        .value("--out")
+        .map_or_else(|| format!("target/experiments/trace_{wname}_{cname}.json"), String::from);
+    let compiled = prepare_workload(&workload, scale);
+    let export = provenance::collect(&compiled, wname, cname, &config);
 
     print!("{}", provenance::coverage_markdown(&export));
     println!(
@@ -62,26 +70,12 @@ fn main() -> ExitCode {
 }
 
 /// The `--parallel` mode: multi-track task/scheduler trace.
-fn parallel() -> ExitCode {
-    let scale = rc_bench::scale_from_args();
-    let wname = rc_bench::value_from_args("--workload").unwrap_or_else(|| "moss".to_string());
-    let tasks: u32 = match rc_bench::value_from_args("--tasks").map(|v| v.parse()) {
-        None => 4,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("trace-export: --tasks wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let seed: u64 = match rc_bench::value_from_args("--det-seed").map(|v| v.parse()) {
-        None => critpath::DET_SEED,
-        Some(Ok(n)) => n,
-        Some(Err(_)) => {
-            eprintln!("trace-export: --det-seed wants a number");
-            return ExitCode::from(2);
-        }
-    };
-    let run = match critpath::collect(&wname, tasks, "lea", &RunConfig::lea(), scale, seed) {
+fn parallel(args: &Args) -> ExitCode {
+    let scale = args.scale();
+    let wname = args.value("--workload").unwrap_or("moss");
+    let tasks: u32 = args.number("--tasks", 4);
+    let seed: u64 = args.number("--det-seed", critpath::DET_SEED);
+    let run = match critpath::collect(wname, tasks, "lea", &RunConfig::lea(), scale, seed) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("trace-export: {e}");
@@ -100,8 +94,9 @@ fn parallel() -> ExitCode {
         run.cp.work,
         run.cp.span
     );
-    let out = rc_bench::value_from_args("--out")
-        .unwrap_or_else(|| format!("target/experiments/trace_par_{wname}_t{tasks}.json"));
+    let out = args
+        .value("--out")
+        .map_or_else(|| format!("target/experiments/trace_par_{wname}_t{tasks}.json"), String::from);
     write_trace(&out, critpath::multi_track_trace(&run).render_pretty())
 }
 

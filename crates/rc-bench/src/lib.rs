@@ -21,6 +21,12 @@
 //! | Perfetto provenance trace           | `cargo run -p rc-bench --bin trace-export` |
 //! | Heap snapshot dump + analysis       | `cargo run -p rc-bench --bin rc-inspect` |
 //!
+//! Tables 1–3, Figures 7–9 and the bench trajectory all read one
+//! [`report::Evaluation`]: each workload compiled once and run once under
+//! each distinct Figure 7/8 configuration, with the timeline sampler on.
+//! The telemetry and provenance passes rerun its compiled workloads with
+//! their own sinks.
+//!
 //! Wall-clock benchmarks live in `benches/` (run with `cargo bench -p
 //! rc-bench`), on the dependency-free harness in [`microbench`]. Passing
 //! `--profile` to `experiments` or `ablations` adds a telemetry section
@@ -40,29 +46,129 @@ pub mod report;
 pub mod schema;
 pub mod trajectory;
 
+use std::str::FromStr;
+
 use rc_workloads::Scale;
 
-/// Parses a scale from argv (e.g. `--scale 8`), defaulting to
-/// [`Scale::SMALL`].
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--scale" {
-            if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                return Scale(v);
+/// A binary's command line, checked before any work starts: bare
+/// `--flag`s, `--option value` pairs and positional words.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    flags: Vec<String>,
+    values: Vec<(String, String)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Parses argv; `flags` names the options that take no value. On an
+    /// option whose value is missing or starts with `--`, or a `--scale`
+    /// that is not a positive integer, prints the error and `usage` to
+    /// stderr and exits 2.
+    pub fn from_env(usage: &'static str, flags: &[&str]) -> Args {
+        Args::parse(usage, std::env::args().skip(1), flags).unwrap_or_else(|e| usage_error(usage, &e))
+    }
+
+    fn parse(
+        usage: &'static str,
+        mut args: impl Iterator<Item = String>,
+        flags: &[&str],
+    ) -> Result<Args, String> {
+        let mut parsed = Args { usage, flags: vec![], values: vec![], positionals: vec![] };
+        while let Some(a) = args.next() {
+            if !a.starts_with("--") {
+                parsed.positionals.push(a);
+            } else if flags.contains(&a.as_str()) {
+                parsed.flags.push(a);
+            } else {
+                let Some(v) = args.next().filter(|v| !v.starts_with("--")) else {
+                    return Err(format!("{a} needs a value"));
+                };
+                if a == "--scale" && !v.parse::<u32>().is_ok_and(|n| n > 0) {
+                    return Err(format!("--scale wants a positive integer, got {v:?}"));
+                }
+                parsed.values.push((a, v));
             }
         }
+        Ok(parsed)
     }
-    Scale::SMALL
+
+    /// The workload scale (`--scale N`), defaulting to [`Scale::SMALL`].
+    pub fn scale(&self) -> Scale {
+        Scale(self.number("--scale", Scale::SMALL.0))
+    }
+
+    /// The value of `--name` as a number, or `default` when absent; a
+    /// value that does not parse prints the usage and exits 2.
+    pub fn number<T: FromStr>(&self, name: &str, default: T) -> T {
+        match self.value(name) {
+            None => default,
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                usage_error(self.usage, &format!("{name} wants a number, got {v:?}"))
+            }),
+        }
+    }
+
+    /// Whether the bare `--flag` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.flags.iter().any(|f| f == name)
+    }
+
+    /// The value of the first `--option value` pair named `name`.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
+    /// The words that are neither options nor option values, in order.
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
+    }
 }
 
-/// Whether a bare `--flag` is present in argv.
-pub fn flag_from_args(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+fn usage_error(usage: &str, error: &str) -> ! {
+    eprintln!("error: {error}\n{usage}");
+    std::process::exit(2)
 }
 
-/// The value following `--option` in argv, if any.
-pub fn value_from_args(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str], flags: &[&str]) -> Result<Args, String> {
+        Args::parse("usage: test", args.iter().map(|s| s.to_string()), flags)
+    }
+
+    #[test]
+    fn options_flags_and_positionals_parse() {
+        let a = parse(&["diff", "--scale", "1", "--profile", "a.json", "--trace", "ev.jsonl"], &[
+            "--profile",
+        ])
+        .unwrap();
+        assert_eq!(a.scale(), Scale(1));
+        assert!(a.flag("--profile") && !a.flag("--sample"));
+        assert_eq!(a.value("--trace"), Some("ev.jsonl"));
+        assert_eq!(a.positionals(), ["diff", "a.json"]);
+        assert_eq!(parse(&[], &[]).unwrap().scale(), Scale::SMALL);
+    }
+
+    #[test]
+    fn a_scale_that_is_not_a_positive_integer_is_rejected() {
+        for bad in ["abc", "0", "-1", "1.5"] {
+            let e = parse(&["--scale", bad], &[]).unwrap_err();
+            assert!(e.contains("--scale wants a positive integer"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn an_option_without_its_value_is_rejected() {
+        // Trailing: `experiments --trace` used to skip the telemetry pass.
+        assert_eq!(parse(&["--trace"], &["--profile"]).unwrap_err(), "--trace needs a value");
+        // Followed by another option: `--trace --profile` used to write
+        // the trace to a file named `--profile`.
+        assert_eq!(
+            parse(&["--trace", "--profile"], &["--profile"]).unwrap_err(),
+            "--trace needs a value"
+        );
+        assert!(parse(&["--scale"], &[]).is_err());
+    }
 }

@@ -1,7 +1,7 @@
 //! Cross-layer provenance: the static↔dynamic check-site join and the
 //! Perfetto trace export (`rc-trace-export/v1`).
 //!
-//! [`collect`] runs one workload with region lifecycle spans on
+//! [`collect`] runs one compiled workload with region lifecycle spans on
 //! ([`rc_lang::RunConfig::with_spans`]) and joins three layers:
 //!
 //! - the **static** layer — per check site, the inference verdict and the
@@ -24,14 +24,12 @@
 
 use std::collections::BTreeMap;
 
-use rc_lang::interp::{run, Outcome};
+use rc_lang::interp::{run, Compiled, Outcome};
 use rc_lang::{site_verdicts, RunConfig, SiteVerdict};
-use rc_workloads::driver::prepare_workload;
-use rc_workloads::{Scale, Workload};
 use region_rt::trace::check_kind_name;
 use region_rt::{Event, Json, SpanTree, NO_CHECK_SITE};
 
-use crate::report::Row;
+use crate::report::{Evaluation, Row};
 
 /// Schema identifier embedded in every export; bumped on layout change
 /// (registered in [`crate::schema`]).
@@ -100,8 +98,8 @@ pub struct TraceExport {
     pub end_cycles: u64,
 }
 
-/// Runs `workload` under `config` (with spans forced on) and assembles
-/// the provenance join.
+/// Runs `compiled` (the source of workload `workload`) under `config`
+/// (with spans forced on) and assembles the provenance join.
 ///
 /// # Panics
 ///
@@ -109,21 +107,20 @@ pub struct TraceExport {
 /// or if the coverage table disagrees with
 /// [`rlang::Analysis::eliminated_sites`] — the acceptance invariant.
 pub fn collect(
-    workload: &Workload,
+    compiled: &Compiled,
+    workload: &str,
     config_name: &str,
     config: &RunConfig,
-    scale: Scale,
 ) -> TraceExport {
-    let c = prepare_workload(workload, scale);
-    let verdicts: Vec<SiteVerdict> = site_verdicts(&c.module, &c.analysis);
-    let r = run(&c, &config.clone().with_spans());
+    let verdicts: Vec<SiteVerdict> = site_verdicts(&compiled.module, &compiled.analysis);
+    let r = run(compiled, &config.clone().with_spans());
     match r.outcome {
         Outcome::Exit(_) => {}
-        ref other => panic!("{}/{config_name}: did not exit cleanly: {other:?}", workload.name),
+        ref other => panic!("{workload}/{config_name}: did not exit cleanly: {other:?}"),
     }
     let spans = r.spans.expect("spans were enabled");
     if let Some(Err(e)) = spans.verification() {
-        panic!("{}/{config_name}: span tree malformed: {e}", workload.name);
+        panic!("{workload}/{config_name}: span tree malformed: {e}");
     }
 
     let coverage: Vec<SiteCoverageRow> = verdicts
@@ -143,13 +140,12 @@ pub fn collect(
     let eliminated = coverage.iter().filter(|r| r.eliminated).count();
     assert_eq!(
         eliminated,
-        c.analysis.eliminated_sites.len(),
-        "{}: coverage totals must match Analysis::eliminated_sites",
-        workload.name
+        compiled.analysis.eliminated_sites.len(),
+        "{workload}: coverage totals must match Analysis::eliminated_sites"
     );
 
     TraceExport {
-        workload: workload.name.to_string(),
+        workload: workload.to_string(),
         config: config_name.to_string(),
         coverage,
         eliminated_sites: eliminated as u64,
@@ -335,15 +331,15 @@ impl Row for CoverageSummaryRow {
     }
 }
 
-/// Runs every paper workload under `qs` with spans on and summarizes
+/// Runs every evaluated workload under `qs` with spans on and summarizes
 /// static↔dynamic check coverage; also returns the full per-site export
 /// for `exemplar` (the table EXPERIMENTS.md prints in full).
-pub fn summarize(scale: Scale, exemplar: &str) -> (Vec<CoverageSummaryRow>, TraceExport) {
+pub fn summarize(eval: &Evaluation, exemplar: &str) -> (Vec<CoverageSummaryRow>, TraceExport) {
     let qs = RunConfig::rc(rc_lang::CheckMode::Qs);
     let mut rows = Vec::new();
     let mut exemplar_export = None;
-    for w in rc_workloads::all() {
-        let x = collect(&w, "qs", &qs, scale);
+    for w in &eval.workloads {
+        let x = collect(&w.compiled, w.workload.name, "qs", &qs);
         rows.push(CoverageSummaryRow {
             workload: x.workload.clone(),
             sites: x.coverage.len() as u64,
@@ -354,7 +350,7 @@ pub fn summarize(scale: Scale, exemplar: &str) -> (Vec<CoverageSummaryRow>, Trac
             fires: x.coverage.iter().map(|r| r.fires).sum(),
             fails: x.coverage.iter().map(|r| r.fails).sum(),
         });
-        if w.name == exemplar {
+        if w.workload.name == exemplar {
             exemplar_export = Some(x);
         }
     }
@@ -397,7 +393,8 @@ mod tests {
 
     fn export(config_name: &str, cfg: RunConfig) -> TraceExport {
         let w = rc_workloads::by_name("cfrac").expect("cfrac exists");
-        collect(&w, config_name, &cfg, Scale::TINY)
+        let c = rc_workloads::driver::prepare_workload(&w, rc_workloads::Scale::TINY);
+        collect(&c, w.name, config_name, &cfg)
     }
 
     #[test]

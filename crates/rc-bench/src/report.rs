@@ -1,7 +1,8 @@
 //! Regeneration of the paper's tables and figures.
 //!
-//! Each function reruns the eight workloads under the relevant
-//! configurations and assembles rows mirroring the paper's evaluation
+//! One [`Evaluation`] compiles each workload once and runs it once under
+//! every distinct Figure 7/8 configuration; each table and figure is a
+//! function of it that assembles rows mirroring the paper's evaluation
 //! section. Absolute numbers are virtual-clock instruction counts (the
 //! substrate is an interpreter, not a 2001 SPARC), so the meaningful
 //! comparisons — who wins, relative overheads, crossovers — are reported
@@ -14,11 +15,86 @@
 
 use std::collections::BTreeMap;
 
-use rc_lang::interp::{run, Outcome, RunResult};
+use rc_lang::interp::{run, Compiled, RunResult};
 use rc_lang::RunConfig;
-use rc_workloads::driver::{prepare_workload, static_stats};
+use rc_workloads::driver::prepare_workload;
 use rc_workloads::{paper, Scale, Workload};
 use region_rt::{Json, Tracer};
+
+use crate::trajectory::{BENCH_SAMPLE_CAP, BENCH_SAMPLE_INTERVAL};
+
+/// The evaluation's cells, in run order: Figure 7's configurations, then
+/// Figure 8's check regimes but `inf`, which is Figure 7's `RC`
+/// configuration and reads its run ([`WorkloadRuns::run`]).
+fn configs() -> Vec<(&'static str, RunConfig)> {
+    let mut cfgs = RunConfig::figure7();
+    cfgs.extend(RunConfig::figure8().into_iter().filter(|(n, _)| *n != "inf"));
+    cfgs
+}
+
+/// One workload, compiled once, with its run under every cell.
+#[derive(Debug)]
+pub struct WorkloadRuns {
+    /// The benchmark.
+    pub workload: Workload,
+    /// Its RC source at the evaluation's scale.
+    pub source: String,
+    /// The compiled source every run executes.
+    pub compiled: Compiled,
+    /// `(cell, run)` pairs: Figure 7's five configurations, then `nq`,
+    /// `qs` and `nc`.
+    pub runs: Vec<(&'static str, RunResult)>,
+}
+
+impl WorkloadRuns {
+    /// The run behind a Figure 7 or Figure 8 column.
+    pub fn run(&self, column: &str) -> &RunResult {
+        let cell = if column == "inf" { "RC" } else { column };
+        &self.runs.iter().find(|(name, _)| *name == cell).expect("every column has a cell").1
+    }
+}
+
+/// The paper's evaluation at one scale: the one producer of the Figure
+/// 7/8 cells that every table, figure and the trajectory read.
+#[derive(Debug)]
+pub struct Evaluation {
+    /// Workload scale.
+    pub scale: Scale,
+    /// One entry per workload, in the order given.
+    pub workloads: Vec<WorkloadRuns>,
+}
+
+impl Evaluation {
+    /// Evaluates all eight workloads.
+    pub fn collect(scale: Scale) -> Evaluation {
+        Evaluation::collect_for(scale, &rc_workloads::all())
+    }
+
+    /// Compiles each workload once and runs it under every cell, sampled
+    /// at [`BENCH_SAMPLE_INTERVAL`]. Sampling changes
+    /// nothing a table reads, so the tables and the trajectory share
+    /// these runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a workload does not compile or a run does not exit.
+    pub fn collect_for(scale: Scale, workloads: &[Workload]) -> Evaluation {
+        let workloads = workloads.iter().map(|w| {
+            let compiled = prepare_workload(w, scale);
+            let runs = configs()
+                .into_iter()
+                .map(|(name, cfg)| {
+                    let cfg = cfg.with_sampling(BENCH_SAMPLE_INTERVAL, BENCH_SAMPLE_CAP);
+                    let r = run(&compiled, &cfg);
+                    assert!(r.outcome.is_exit(), "{}/{name}: did not exit: {:?}", w.name, r.outcome);
+                    (name, r)
+                })
+                .collect();
+            WorkloadRuns { workload: w.clone(), source: (w.source)(scale), compiled, runs }
+        });
+        Evaluation { scale, workloads: workloads.collect() }
+    }
+}
 
 /// A table row rendered as ordered `(column, value)` pairs; the single
 /// source for both the text tables and the JSON export.
@@ -77,27 +153,16 @@ impl Row for Table1Row {
     }
 }
 
-/// Runs a workload once under a config, panicking on a non-exit.
-fn must_run(w: &Workload, scale: Scale, cfg: &RunConfig) -> RunResult {
-    let c = prepare_workload(w, scale);
-    let r = run(&c, cfg);
-    match r.outcome {
-        Outcome::Exit(_) => r,
-        ref other => panic!("{}: did not exit cleanly: {other:?}", w.name),
-    }
-}
-
 /// Generates Table 1.
-pub fn table1(scale: Scale) -> Vec<Table1Row> {
-    rc_workloads::all()
+pub fn table1(eval: &Evaluation) -> Vec<Table1Row> {
+    eval.workloads
         .iter()
         .map(|w| {
-            let src = (w.source)(scale);
-            let r = must_run(w, scale, &RunConfig::rc_inf());
-            let p = paper::row(w.name).expect("paper row exists");
+            let r = w.run("RC");
+            let p = paper::row(w.workload.name).expect("paper row exists");
             Table1Row {
-                name: w.name.to_string(),
-                lines: src.lines().filter(|l| !l.trim().is_empty()).count(),
+                name: w.workload.name.to_string(),
+                lines: w.source.lines().filter(|l| !l.trim().is_empty()).count(),
                 allocs: r.stats.objects_allocated,
                 mem_alloc_kb: r.stats.words_allocated * 8 / 1024,
                 max_use_kb: r.stats.peak_live_words * 8 / 1024,
@@ -141,18 +206,18 @@ impl Row for Table2Row {
 }
 
 /// Generates Table 2.
-pub fn table2(scale: Scale) -> Vec<Table2Row> {
-    rc_workloads::all()
+pub fn table2(eval: &Evaluation) -> Vec<Table2Row> {
+    eval.workloads
         .iter()
         .map(|w| {
-            let rc = must_run(w, scale, &RunConfig::rc(rc_lang::CheckMode::Qs));
-            let cat = must_run(w, scale, &RunConfig::cat());
-            let p = paper::row(w.name).expect("paper row exists");
+            let rc = w.run("qs");
+            let cat = w.run("C@");
+            let p = paper::row(w.workload.name).expect("paper row exists");
             let pct = |part: u64, whole: u64| {
                 if whole == 0 { 0.0 } else { 100.0 * part as f64 / whole as f64 }
             };
             Table2Row {
-                name: w.name.to_string(),
+                name: w.workload.name.to_string(),
                 rc_overhead_pct: pct(rc.stats.rc_cycles, rc.cycles),
                 cat_overhead_pct: pct(cat.stats.rc_cycles, cat.cycles),
                 unscan_pct: pct(rc.stats.unscan_cycles, rc.cycles),
@@ -197,23 +262,36 @@ impl Row for Table3Row {
 }
 
 /// Generates Table 3.
-pub fn table3(scale: Scale) -> Vec<Table3Row> {
-    rc_workloads::all()
+pub fn table3(eval: &Evaluation) -> Vec<Table3Row> {
+    eval.workloads
         .iter()
         .map(|w| {
-            let s = static_stats(w, scale);
-            let p = paper::row(w.name).expect("paper row exists");
+            let p = paper::row(w.workload.name).expect("paper row exists");
+            let sites = w.compiled.analysis.site_count();
+            let safe_sites = w.compiled.analysis.safe_count();
             Table3Row {
-                name: w.name.to_string(),
-                keywords: s.keywords,
-                sites: s.sites,
-                safe_sites: s.safe_sites,
-                safe_pct: s.safe_pct(),
+                name: w.workload.name.to_string(),
+                keywords: count_keywords(&w.source),
+                sites,
+                safe_sites,
+                safe_pct: if sites == 0 { 0.0 } else { 100.0 * safe_sites as f64 / sites as f64 },
                 paper_safe_pct: p.safe_assign_pct,
                 paper_keywords: p.keywords,
             }
         })
         .collect()
+}
+
+/// Annotation keywords in a source: `sameregion` + `parentptr` +
+/// `traditional`, excluding the `traditionalregion()` builtin.
+fn count_keywords(src: &str) -> usize {
+    ["sameregion", "parentptr", "traditional"]
+        .iter()
+        .map(|kw| {
+            // `traditional` must not match `traditionalregion`.
+            src.match_indices(kw).filter(|(i, _)| !src[i + kw.len()..].starts_with("region")).count()
+        })
+        .sum()
 }
 
 /// Figure 7: execution time per benchmark under the five configurations.
@@ -238,21 +316,20 @@ impl Row for Fig7Row {
 }
 
 /// Generates Figure 7.
-pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
-    rc_workloads::all()
+pub fn fig7(eval: &Evaluation) -> Vec<Fig7Row> {
+    eval.workloads
         .iter()
         .map(|w| {
-            let mut cycles = BTreeMap::new();
-            for (name, cfg) in RunConfig::figure7() {
-                let r = must_run(w, scale, &cfg);
-                cycles.insert(name.to_string(), r.cycles);
-            }
+            let cycles: BTreeMap<String, u64> = RunConfig::figure7()
+                .into_iter()
+                .map(|(name, _)| (name.to_string(), w.run(name).cycles))
+                .collect();
             let lea = cycles["lea"] as f64;
             let rel_to_lea = cycles
                 .iter()
                 .map(|(k, &v)| (k.clone(), v as f64 / lea))
                 .collect();
-            Fig7Row { name: w.name.to_string(), cycles, rel_to_lea }
+            Fig7Row { name: w.workload.name.to_string(), cycles, rel_to_lea }
         })
         .collect()
 }
@@ -280,14 +357,14 @@ impl Row for Fig8Row {
 }
 
 /// Generates Figure 8.
-pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
-    rc_workloads::all()
+pub fn fig8(eval: &Evaluation) -> Vec<Fig8Row> {
+    eval.workloads
         .iter()
         .map(|w| {
             let mut cycles = BTreeMap::new();
             let mut overhead = BTreeMap::new();
-            for (name, cfg) in RunConfig::figure8() {
-                let r = must_run(w, scale, &cfg);
+            for (name, _) in RunConfig::figure8() {
+                let r = w.run(name);
                 cycles.insert(name.to_string(), r.cycles);
                 let dynamic =
                     r.stats.rc_cycles + r.stats.check_cycles + r.stats.unscan_cycles;
@@ -296,7 +373,7 @@ pub fn fig8(scale: Scale) -> Vec<Fig8Row> {
                     if r.cycles == 0 { 0.0 } else { 100.0 * dynamic as f64 / r.cycles as f64 },
                 );
             }
-            Fig8Row { name: w.name.to_string(), cycles, overhead_pct: overhead }
+            Fig8Row { name: w.workload.name.to_string(), cycles, overhead_pct: overhead }
         })
         .collect()
 }
@@ -335,14 +412,14 @@ impl Row for Fig9Row {
 
 /// Generates Figure 9 (measured under the RC "inf" configuration, like
 /// the paper).
-pub fn fig9(scale: Scale) -> Vec<Fig9Row> {
+pub fn fig9(eval: &Evaluation) -> Vec<Fig9Row> {
     use region_rt::AssignCategory;
-    rc_workloads::all()
+    eval.workloads
         .iter()
         .map(|w| {
-            let r = must_run(w, scale, &RunConfig::rc_inf());
+            let r = w.run("RC");
             Fig9Row {
-                name: w.name.to_string(),
+                name: w.workload.name.to_string(),
                 safe_pct: r.stats.assign_pct(AssignCategory::Safe),
                 checked_pct: r.stats.assign_pct(AssignCategory::Checked),
                 counted_pct: r.stats.assign_pct(AssignCategory::Counted),
@@ -449,14 +526,15 @@ int main() deletes {
 }
 ";
 
-/// Runs the telemetry pass: every workload once under qs with full event
-/// tracing, plus the nested-region demo for the flamegraph.
-pub fn telemetry(scale: Scale) -> TelemetryReport {
+/// Runs the telemetry pass: every evaluated workload once more under qs
+/// with full event tracing, plus the nested-region demo for the flamegraph.
+pub fn telemetry(eval: &Evaluation) -> TelemetryReport {
     let cfg = RunConfig::rc(rc_lang::CheckMode::Qs).traced();
     let mut rows = Vec::new();
     let mut tracers = Vec::new();
-    for w in rc_workloads::all() {
-        let r = must_run(&w, scale, &cfg);
+    for WorkloadRuns { workload: w, compiled, .. } in &eval.workloads {
+        let r = run(compiled, &cfg);
+        assert!(r.outcome.is_exit(), "{}/qs traced: did not exit cleanly: {:?}", w.name, r.outcome);
         let t = r.tracer.expect("tracing was enabled");
         let p = t.profile();
         let top_check_sites = p
@@ -550,6 +628,38 @@ mod tests {
         assert!(t.contains("name"));
         assert!(t.contains("123"));
         assert_eq!(t.lines().count(), 3);
+    }
+
+    #[test]
+    fn evaluation_cells_are_the_tables_runs() {
+        let eval = Evaluation::collect(Scale::TINY);
+        // Sampling is invisible to the tables: every cell matches a plain
+        // unsampled run of the same compiled program in all the tables
+        // read, so the trajectory can share the tables' runs. Only
+        // `samples_dropped`, which no table or trajectory field reads, may
+        // differ.
+        for w in &eval.workloads {
+            for ((name, sampled), (_, cfg)) in w.runs.iter().zip(configs()) {
+                let plain = run(&w.compiled, &cfg);
+                let cell = format!("{}/{name}", w.workload.name);
+                assert_eq!(sampled.outcome, plain.outcome, "{cell}: outcome");
+                assert_eq!(sampled.cycles, plain.cycles, "{cell}: cycles");
+                assert_eq!(sampled.steps, plain.steps, "{cell}: steps");
+                let mut stats = sampled.stats.clone();
+                stats.samples_dropped = 0;
+                assert_eq!(stats, plain.stats, "{cell}: stats");
+            }
+        }
+        // `inf` and `RC` are one run.
+        for (r7, r8) in fig7(&eval).iter().zip(fig8(&eval)) {
+            assert_eq!(r8.cycles["inf"], r7.cycles["RC"], "{}", r8.name);
+        }
+    }
+
+    #[test]
+    fn keyword_counter_ignores_traditionalregion() {
+        let src = "struct t *traditional x; region r = traditionalregion(); struct t *sameregion y;";
+        assert_eq!(count_keywords(src), 2);
     }
 
     #[test]

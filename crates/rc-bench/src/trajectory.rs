@@ -1,9 +1,9 @@
 //! Machine-readable benchmark trajectories and the regression gate.
 //!
-//! [`collect`] reruns the paper's Figure 7/8 workload × configuration
-//! matrix with the timeline sampler on and assembles a
-//! schema-versioned [`BenchReport`]: per-run virtual-clock totals plus
-//! the periodic [`MetricsSnapshot`] series. The report serializes to
+//! [`collect`] folds the runs of an [`Evaluation`] — the paper's Figure
+//! 7/8 workload × configuration matrix, sampled on the virtual clock —
+//! into a schema-versioned [`BenchReport`]: per-run virtual-clock totals
+//! plus the periodic [`MetricsSnapshot`] series. The report serializes to
 //! `BENCH_rc.json`; because every number is virtual-clock (deterministic
 //! across machines and runs), two reports from the same source tree are
 //! byte-identical, which is what makes a committed baseline and a hard
@@ -22,11 +22,9 @@
 //! [`diff_reports`] refuses mismatched schemas — see
 //! `docs/OBSERVABILITY.md` for the policy.
 
-use rc_lang::interp::{run, Outcome};
-use rc_lang::RunConfig;
-use rc_workloads::driver::prepare_workload;
-use rc_workloads::{Scale, Workload};
 use region_rt::{sparkline, Json, MetricsSnapshot};
+
+use crate::report::Evaluation;
 
 /// Schema identifier embedded in every report; bumped on layout change
 /// (registered in [`crate::schema`]).
@@ -40,12 +38,12 @@ pub const CYCLE_REGRESSION_PCT: f64 = 5.0;
 /// than this percentage over the baseline.
 pub const PEAK_REGRESSION_PCT: f64 = 10.0;
 
-/// Sampling interval (runtime events per snapshot) used by [`collect`] —
-/// coarse enough to keep the committed baseline small.
+/// Sampling interval (runtime events per snapshot) of the evaluation's
+/// runs — coarse enough to keep the committed baseline small.
 pub const BENCH_SAMPLE_INTERVAL: u64 = 512;
 
-/// Sample cap used by [`collect`]; decimation keeps longer runs under
-/// this many snapshots, bounding the committed baseline's size.
+/// Sample cap of the evaluation's runs; decimation keeps longer runs
+/// under this many snapshots, bounding the committed baseline's size.
 pub const BENCH_SAMPLE_CAP: usize = 48;
 
 /// One workload × configuration execution: end-of-run totals plus the
@@ -147,37 +145,16 @@ impl BenchReport {
     }
 }
 
-/// The Figure 7 and Figure 8 configuration columns, deduplicated: the
-/// paper's "RC" (Figure 7) and "inf" (Figure 8) are the same
-/// configuration, so it appears once, under "RC".
-fn configs() -> Vec<(&'static str, RunConfig)> {
-    let mut cfgs = RunConfig::figure7();
-    cfgs.extend(RunConfig::figure8().into_iter().filter(|(n, _)| *n != "inf"));
-    cfgs
-}
-
-/// Collects the full trajectory report for all eight workloads.
-pub fn collect(scale: Scale) -> BenchReport {
-    collect_for(scale, &rc_workloads::all())
-}
-
-/// Collects a trajectory report for the given workloads (all Figure 7/8
-/// configurations each), sampling at [`BENCH_SAMPLE_INTERVAL`].
-pub fn collect_for(scale: Scale, workloads: &[Workload]) -> BenchReport {
+/// Folds an evaluation's runs into a trajectory report, in
+/// workload-major, cell-minor order.
+pub fn collect(eval: &Evaluation) -> BenchReport {
     let mut runs = Vec::new();
-    for w in workloads {
-        let c = prepare_workload(w, scale);
-        for (name, cfg) in configs() {
-            let cfg = cfg.with_sampling(BENCH_SAMPLE_INTERVAL, BENCH_SAMPLE_CAP);
-            let r = run(&c, &cfg);
-            match r.outcome {
-                Outcome::Exit(_) => {}
-                ref other => panic!("{}/{name}: did not exit cleanly: {other:?}", w.name),
-            }
+    for w in &eval.workloads {
+        for (config, r) in &w.runs {
             let s = &r.stats;
             runs.push(BenchRun {
-                workload: w.name.to_string(),
-                config: name.to_string(),
+                workload: w.workload.name.to_string(),
+                config: config.to_string(),
                 cycles: r.cycles,
                 steps: r.steps,
                 peak_live_words: s.peak_live_words,
@@ -186,11 +163,11 @@ pub fn collect_for(scale: Scale, workloads: &[Workload]) -> BenchReport {
                 rc_updates: s.rc_updates_full + s.rc_updates_same,
                 objects_allocated: s.objects_allocated,
                 words_allocated: s.words_allocated,
-                samples: r.timeline.map(|t| t.samples().to_vec()).unwrap_or_default(),
+                samples: r.timeline.as_ref().map(|t| t.samples().to_vec()).unwrap_or_default(),
             });
         }
     }
-    BenchReport { scale: scale.0, runs }
+    BenchReport { scale: eval.scale.0, runs }
 }
 
 /// Renders the timeline section for `EXPERIMENTS.md`: per workload, the
@@ -410,7 +387,10 @@ mod tests {
     use super::*;
 
     fn tiny_report() -> BenchReport {
-        collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
+        collect(&Evaluation::collect_for(
+            rc_workloads::Scale::TINY,
+            &[rc_workloads::by_name("tile").unwrap()],
+        ))
     }
 
     #[test]

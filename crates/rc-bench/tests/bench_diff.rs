@@ -5,7 +5,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use rc_bench::trajectory::{collect_for, BenchReport};
+use rc_bench::report::Evaluation;
+use rc_bench::trajectory::{self, BenchReport};
 use rc_workloads::Scale;
 
 fn write_tmp(name: &str, text: &str) -> PathBuf {
@@ -31,7 +32,10 @@ fn bench_diff(old: &PathBuf, new: &PathBuf) -> (i32, String) {
 }
 
 fn tiny_report() -> BenchReport {
-    collect_for(Scale::TINY, &[rc_workloads::by_name("tile").unwrap()])
+    trajectory::collect(&Evaluation::collect_for(
+        Scale::TINY,
+        &[rc_workloads::by_name("tile").unwrap()],
+    ))
 }
 
 #[test]

@@ -120,7 +120,8 @@ fn figure8_workloads_attribute_checks_to_source_lines() {
 
 #[test]
 fn telemetry_report_covers_every_workload() {
-    let tel = rc_bench::report::telemetry(SCALE);
+    let eval = rc_bench::report::Evaluation::collect(SCALE);
+    let tel = rc_bench::report::telemetry(&eval);
     assert_eq!(tel.rows.len(), rc_workloads::all().len());
     assert_eq!(tel.tracers.len(), tel.rows.len());
     for line in tel.profiles_jsonl().lines() {

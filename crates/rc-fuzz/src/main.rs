@@ -26,29 +26,35 @@
 
 use std::path::PathBuf;
 
-use rc_bench::{flag_from_args, value_from_args};
 use rc_fuzz::campaign::{run_campaign, CampaignConfig};
 
+const USAGE: &str = "usage: rc-fuzz [--seeds N] [--size K] [--budget-steps M] [--json] \
+                     [--regressions DIR] [--no-write] [--dump SEED [--violations] [--no-spawn]]";
+
 fn main() {
-    let seeds = value_from_args("--seeds").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let size = value_from_args("--size").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let budget_steps =
-        value_from_args("--budget-steps").and_then(|v| v.parse().ok()).unwrap_or(20_000_000);
-    let regressions_dir = if flag_from_args("--no-write") {
+    let args = rc_bench::Args::from_env(
+        USAGE,
+        &["--json", "--no-write", "--violations", "--no-spawn"],
+    );
+    let seeds = args.number("--seeds", 64);
+    let size = args.number("--size", 6);
+    let budget_steps = args.number("--budget-steps", 20_000_000);
+    let regressions_dir = if args.flag("--no-write") {
         None
     } else {
         Some(
-            value_from_args("--regressions").map(PathBuf::from).unwrap_or_else(|| {
+            args.value("--regressions").map(PathBuf::from).unwrap_or_else(|| {
                 PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/regressions")
             }),
         )
     };
 
-    if let Some(seed) = value_from_args("--dump").and_then(|v| v.parse().ok()) {
+    if args.value("--dump").is_some() {
+        let seed = args.number("--dump", 0);
         let gen_cfg = rc_fuzz::GenConfig {
             size,
-            violations: flag_from_args("--violations"),
-            spawn: !flag_from_args("--no-spawn"),
+            violations: args.flag("--violations"),
+            spawn: !args.flag("--no-spawn"),
         };
         print!("{}", rc_fuzz::generate_source(seed, &gen_cfg));
         return;
@@ -57,7 +63,7 @@ fn main() {
     let cfg = CampaignConfig { seeds, size, budget_steps, regressions_dir };
     let report = run_campaign(&cfg);
 
-    if flag_from_args("--json") {
+    if args.flag("--json") {
         println!("{}", report.render());
     } else {
         println!("{}", report.summary());

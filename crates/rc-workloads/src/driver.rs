@@ -1,6 +1,6 @@
 //! Running workloads under configurations.
 
-use rc_lang::interp::{prepare, run, run_audited, Compiled, Outcome, RunResult};
+use rc_lang::interp::{prepare, run_audited, Compiled, Outcome};
 use rc_lang::RunConfig;
 
 use crate::{Scale, Workload};
@@ -17,63 +17,6 @@ pub fn prepare_workload(w: &Workload, scale: Scale) -> Compiled {
         Ok(c) => c,
         Err(e) => panic!("workload {} does not compile: {e}", w.name),
     }
-}
-
-/// Compiles and runs a workload.
-pub fn run_workload(w: &Workload, scale: Scale, config: &RunConfig) -> RunResult {
-    let c = prepare_workload(w, scale);
-    run(&c, config)
-}
-
-/// Static annotation statistics for Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticStats {
-    /// Annotation keywords in the source (`sameregion` + `parentptr` +
-    /// `traditional`, excluding the `traditionalregion()` builtin).
-    pub keywords: usize,
-    /// Annotated assignment sites (chk sites in the rlang translation).
-    pub sites: usize,
-    /// Sites proven safe by the constraint inference.
-    pub safe_sites: usize,
-}
-
-impl StaticStats {
-    /// Percentage of annotated sites proven safe.
-    pub fn safe_pct(&self) -> f64 {
-        if self.sites == 0 {
-            0.0
-        } else {
-            100.0 * self.safe_sites as f64 / self.sites as f64
-        }
-    }
-}
-
-/// Computes Table 3's static columns for a workload.
-pub fn static_stats(w: &Workload, scale: Scale) -> StaticStats {
-    let src = (w.source)(scale);
-    let c = prepare_workload(w, scale);
-    let keywords = count_keywords(&src);
-    StaticStats {
-        keywords,
-        sites: c.analysis.site_count(),
-        safe_sites: c.analysis.safe_count(),
-    }
-}
-
-fn count_keywords(src: &str) -> usize {
-    let mut n = 0;
-    for kw in ["sameregion", "parentptr", "traditional"] {
-        let mut rest = src;
-        while let Some(pos) = rest.find(kw) {
-            let after = &rest[pos + kw.len()..];
-            // `traditional` must not match `traditionalregion`.
-            if !after.starts_with("region") {
-                n += 1;
-            }
-            rest = &rest[pos + kw.len()..];
-        }
-    }
-    n
 }
 
 /// Test helper: runs a workload at tiny scale under every Figure 7 and
@@ -104,17 +47,6 @@ pub fn smoke_all_configs(w: &Workload) {
                 w.name
             ),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn keyword_counter_ignores_traditionalregion() {
-        let src = "struct t *traditional x; region r = traditionalregion(); struct t *sameregion y;";
-        assert_eq!(count_keywords(src), 2);
     }
 }
 

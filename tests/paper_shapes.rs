@@ -5,44 +5,42 @@
 //! future change cannot silently break the science while keeping the
 //! plumbing green. Absolute values are virtual-clock instruction counts;
 //! the assertions are deliberately about ratios and orderings only.
+//!
+//! Every test reads the rows `EXPERIMENTS.md` prints, from one shared
+//! [`Evaluation`] at [`Scale::TINY`].
 
-use rc_regions::lang::{prepare, run, CheckMode, Outcome, RunConfig};
-use rc_regions::workloads::driver::{prepare_workload, static_stats};
-use rc_regions::workloads::{all, by_name, Scale};
+use std::sync::OnceLock;
 
-fn cycles(w: &rc_regions::workloads::Workload, cfg: &RunConfig) -> u64 {
-    let c = prepare_workload(w, Scale::TINY);
-    let r = run(&c, cfg);
-    assert!(matches!(r.outcome, Outcome::Exit(_)), "{}: {:?}", w.name, r.outcome);
-    r.cycles
+use rc_bench::report::{self, Evaluation};
+use rc_regions::workloads::Scale;
+
+fn eval() -> &'static Evaluation {
+    static EVAL: OnceLock<Evaluation> = OnceLock::new();
+    EVAL.get_or_init(|| Evaluation::collect(Scale::TINY))
+}
+
+/// The row of `rows` whose name is `name`.
+fn row<'a, T>(rows: &'a [T], name: &str, row_name: impl Fn(&T) -> &str) -> &'a T {
+    rows.iter().find(|r| row_name(r) == name).unwrap_or_else(|| panic!("no {name} row"))
 }
 
 #[test]
 fn rc_always_beats_cat() {
     // "RC with reference counting always performs better than C@."
-    for w in all() {
-        let rc = cycles(&w, &RunConfig::rc_inf());
-        let cat = cycles(&w, &RunConfig::cat());
-        assert!(rc < cat, "{}: RC {rc} !< C@ {cat}", w.name);
+    for r in report::fig7(eval()) {
+        let (rc, cat) = (r.cycles["RC"], r.cycles["C@"]);
+        assert!(rc < cat, "{}: RC {rc} !< C@ {cat}", r.name);
     }
 }
 
 #[test]
 fn check_regimes_are_monotone() {
     // Figure 8: nq ≥ qs ≥ inf ≥ nc on every benchmark.
-    for w in all() {
-        let c = prepare_workload(&w, Scale::TINY);
-        let t: Vec<u64> = RunConfig::figure8()
-            .into_iter()
-            .map(|(_, cfg)| {
-                let r = run(&c, &cfg);
-                assert!(r.outcome.is_exit());
-                r.cycles
-            })
-            .collect();
-        assert!(t[0] >= t[1], "{}: nq < qs", w.name);
-        assert!(t[1] >= t[2], "{}: qs < inf", w.name);
-        assert!(t[2] >= t[3], "{}: inf < nc", w.name);
+    for r in report::fig8(eval()) {
+        let t = |regime: &str| r.cycles[regime];
+        assert!(t("nq") >= t("qs"), "{}: nq < qs", r.name);
+        assert!(t("qs") >= t("inf"), "{}: qs < inf", r.name);
+        assert!(t("inf") >= t("nc"), "{}: inf < nc", r.name);
     }
 }
 
@@ -50,12 +48,8 @@ fn check_regimes_are_monotone() {
 fn lcc_has_the_largest_rc_overhead() {
     // Table 2: "The largest reference counting overhead is for lcc at 11%
     // of execution time."
-    let overhead = |name: &str| {
-        let w = by_name(name).unwrap();
-        let c = prepare_workload(&w, Scale::TINY);
-        let r = run(&c, &RunConfig::rc(CheckMode::Qs));
-        100.0 * r.stats.rc_cycles as f64 / r.cycles as f64
-    };
+    let rows = report::table2(eval());
+    let overhead = |name: &str| row(&rows, name, |r| &r.name).rc_overhead_pct;
     let lcc = overhead("lcc");
     for name in ["cfrac", "grobner", "moss", "tile", "apache", "rc", "mudlle"] {
         let o = overhead(name);
@@ -78,16 +72,10 @@ fn annotations_cut_lcc_and_mudlle_overheads() {
     // "Without any qualifiers the reference count overhead of lcc would be
     // 27% instead of 11%, and the overhead of mudlle would be 23% instead
     // of 6%" — the nq overhead must be ≥ 1.8× the inf overhead.
+    let rows = report::fig8(eval());
     for name in ["lcc", "mudlle"] {
-        let w = by_name(name).unwrap();
-        let c = prepare_workload(&w, Scale::TINY);
-        let ov = |cfg: RunConfig| {
-            let r = run(&c, &cfg);
-            let dynamic = r.stats.rc_cycles + r.stats.check_cycles + r.stats.unscan_cycles;
-            100.0 * dynamic as f64 / r.cycles as f64
-        };
-        let nq = ov(RunConfig::rc(CheckMode::Nq));
-        let inf = ov(RunConfig::rc(CheckMode::Inf));
+        let ov = &row(&rows, name, |r| &r.name).overhead_pct;
+        let (nq, inf) = (ov["nq"], ov["inf"]);
         assert!(
             nq - inf >= 2.5,
             "{name}: nq {nq:.1}% vs inf {inf:.1}% — annotations must pay              (paper: 27%→11% and 23%→6%)"
@@ -99,7 +87,8 @@ fn annotations_cut_lcc_and_mudlle_overheads() {
 fn static_verification_ordering_matches_table3() {
     // Table 3 ordering: rc verifies least (bison parse stack), lcc and
     // apache a minority, moss/tile/grobner/mudlle a solid majority.
-    let pct = |name: &str| static_stats(&by_name(name).unwrap(), Scale::TINY).safe_pct();
+    let rows = report::table3(eval());
+    let pct = |name: &str| row(&rows, name, |r| &r.name).safe_pct;
     let rc = pct("rc");
     let lcc = pct("lcc");
     let apache = pct("apache");
@@ -119,20 +108,16 @@ fn figure9_annotated_share_floor() {
     // "In all these benchmarks at least 39% of pointer assignments are of
     // annotated types" (all except cfrac — ours is annotated-heavy there
     // too, which we accept as a miniature artifact).
-    use rc_regions::rt::AssignCategory;
-    for w in all() {
-        if w.name == "lcc" || w.name == "rc" {
+    for r in report::fig9(eval()) {
+        if r.name == "lcc" || r.name == "rc" {
             // The counted-heavy pair: annotated share is lower but present.
             continue;
         }
-        let c = prepare_workload(&w, Scale::TINY);
-        let r = run(&c, &RunConfig::rc_inf());
-        let annotated = r.stats.assign_pct(AssignCategory::Safe)
-            + r.stats.assign_pct(AssignCategory::Checked);
+        let annotated = r.safe_pct + r.checked_pct;
         assert!(
             annotated >= 39.0,
             "{}: annotated share {annotated:.0}% below the paper's floor",
-            w.name
+            r.name
         );
     }
 }
@@ -141,14 +126,13 @@ fn figure9_annotated_share_floor() {
 fn cfrac_is_dominated_by_local_assignments() {
     // "In cfrac essentially all pointer assignments are of pointers to
     // local variables."
-    let w = by_name("cfrac").unwrap();
-    let c = prepare_workload(&w, Scale::TINY);
-    let r = run(&c, &RunConfig::rc_inf());
+    let rows = report::fig9(eval());
+    let r = row(&rows, "cfrac", |r| &r.name);
     assert!(
-        r.stats.assigns_local > 10 * r.stats.heap_assigns(),
+        r.local_assigns > 10 * r.heap_assigns,
         "local {} vs heap {}",
-        r.stats.assigns_local,
-        r.stats.heap_assigns()
+        r.local_assigns,
+        r.heap_assigns
     );
 }
 
@@ -156,11 +140,9 @@ fn cfrac_is_dominated_by_local_assignments() {
 fn unscan_is_a_small_fraction() {
     // Table 2: "The region unscan accounts for 2% or less of execution
     // time on all other benchmarks" (lcc's is the largest).
-    for w in all() {
-        let c = prepare_workload(&w, Scale::TINY);
-        let r = run(&c, &RunConfig::rc(CheckMode::Qs));
-        let pct = 100.0 * r.stats.unscan_cycles as f64 / r.cycles as f64;
-        assert!(pct < 4.0, "{}: unscan {pct:.1}% too large", w.name);
+    for r in report::table2(eval()) {
+        let pct = r.unscan_pct;
+        assert!(pct < 4.0, "{}: unscan {pct:.1}% too large", r.name);
     }
 }
 
@@ -170,21 +152,13 @@ fn rc_is_competitive_with_baselines() {
     // slower to 58% faster than the same programs using malloc/free or
     // the Boehm-Weiser conservative garbage collector". Allow a little
     // slack beyond 7% for miniature noise, but RC must never blow up.
-    for w in all() {
-        let c = prepare_workload(&w, Scale::TINY);
-        let get = |cfg: RunConfig| {
-            let r = run(&c, &cfg);
-            assert!(r.outcome.is_exit());
-            r.cycles as f64
-        };
-        let rc = get(RunConfig::rc_inf());
-        let lea = get(RunConfig::lea());
-        let gc = get(RunConfig::gc());
-        let best = lea.min(gc);
+    for r in report::fig7(eval()) {
+        let rc = r.cycles["RC"] as f64;
+        let best = r.cycles["lea"].min(r.cycles["GC"]) as f64;
         assert!(
             rc <= best * 1.15,
             "{}: RC {rc} more than 15% behind best baseline {best}",
-            w.name
+            r.name
         );
     }
 }
@@ -193,14 +167,8 @@ fn rc_is_competitive_with_baselines() {
 fn inference_convergence_is_fast() {
     // The paper's per-file analysis completes in seconds; ours must
     // converge in a few greatest-fixed-point rounds.
-    for w in all() {
-        let src = (w.source)(Scale::TINY);
-        let c = prepare(&src).unwrap();
-        assert!(
-            c.analysis.rounds < 20,
-            "{}: {} rounds — summary iteration diverging?",
-            w.name,
-            c.analysis.rounds
-        );
+    for w in &eval().workloads {
+        let rounds = w.compiled.analysis.rounds;
+        assert!(rounds < 20, "{}: {rounds} rounds — summary iteration diverging?", w.workload.name);
     }
 }
