@@ -42,9 +42,11 @@ fn main() {
         let base = if profile {
             let r = run(&c, &RunConfig::rc_inf().traced());
             assert!(matches!(r.outcome, Outcome::Exit(_)), "{:?}", r.outcome);
-            let t = r.tracer.as_ref().expect("traced");
+            let (t, spans) =
+                (r.tracer.as_ref().expect("traced"), r.spans.as_ref().expect("traced"));
             trace_out.push_str(&t.events_jsonl(w.name));
-            profiles.push_str(&format!("--- {} ---\n{}", w.name, t.profile().text_report(w.name)));
+            let report = t.profile().text_report(w.name, spans);
+            profiles.push_str(&format!("--- {} ---\n{report}", w.name));
             r.cycles
         } else {
             cycles(&c, &RunConfig::rc_inf())

@@ -19,7 +19,7 @@ use rc_lang::interp::{run, Compiled, RunResult};
 use rc_lang::RunConfig;
 use rc_workloads::driver::prepare_workload;
 use rc_workloads::{paper, Scale, Workload};
-use region_rt::{Json, Tracer};
+use region_rt::{Json, SpanTree, Tracer};
 
 use crate::trajectory::{BENCH_SAMPLE_CAP, BENCH_SAMPLE_INTERVAL};
 
@@ -472,15 +472,16 @@ impl Row for TelemetryRow {
 }
 
 /// Everything the telemetry pass produces: the per-workload summary rows,
-/// the raw tracers (for JSONL export), and a region flamegraph of the
-/// nested-region demo.
+/// the raw tracers and span trees (for JSONL export), and a region
+/// flamegraph of the nested-region demo.
 #[derive(Debug)]
 pub struct TelemetryReport {
     /// One summary row per workload.
     pub rows: Vec<TelemetryRow>,
-    /// `(workload, tracer)` pairs: ring of recent raw events plus the
-    /// exact folded profile for each traced run.
-    pub tracers: Vec<(String, Box<Tracer>)>,
+    /// `(workload, tracer, spans)` per traced run: the ring of recent raw
+    /// events plus the exact folded profile, and the span tree its
+    /// region rows read.
+    pub tracers: Vec<(String, Box<Tracer>, Box<SpanTree>)>,
     /// Text flamegraph of [`NESTED_DEMO`]'s subregion hierarchy.
     pub flamegraph: String,
 }
@@ -489,7 +490,7 @@ impl TelemetryReport {
     /// All raw events as JSON Lines, each tagged with its workload.
     pub fn events_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, t) in &self.tracers {
+        for (name, t, _) in &self.tracers {
             out.push_str(&t.events_jsonl(name));
         }
         out
@@ -498,8 +499,8 @@ impl TelemetryReport {
     /// All folded profiles as JSON Lines (one profile object per run).
     pub fn profiles_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, t) in &self.tracers {
-            out.push_str(&t.profile().to_json(name).render());
+        for (name, t, spans) in &self.tracers {
+            out.push_str(&t.profile().to_json(name, spans).render());
             out.push('\n');
         }
         out
@@ -535,7 +536,7 @@ pub fn telemetry(eval: &Evaluation) -> TelemetryReport {
     for WorkloadRuns { workload: w, compiled, .. } in &eval.workloads {
         let r = run(compiled, &cfg);
         assert!(r.outcome.is_exit(), "{}/qs traced: did not exit cleanly: {:?}", w.name, r.outcome);
-        let t = r.tracer.expect("tracing was enabled");
+        let (t, spans) = (r.tracer.expect("tracing was enabled"), r.spans.expect("traced"));
         let p = t.profile();
         let top_check_sites = p
             .hot_check_sites(5)
@@ -550,13 +551,13 @@ pub fn telemetry(eval: &Evaluation) -> TelemetryReport {
             regions: p.totals.regions_created,
             top_check_sites,
         });
-        tracers.push((w.name.to_string(), t));
+        tracers.push((w.name.to_string(), t, spans));
     }
 
     let demo = rc_lang::interp::prepare(NESTED_DEMO).expect("demo compiles");
     let r = run(&demo, &RunConfig::rc_inf().traced());
     assert!(r.outcome.is_exit(), "nested demo must exit: {:?}", r.outcome);
-    let flamegraph = r.profile().expect("traced").flamegraph();
+    let flamegraph = r.spans.expect("traced").flamegraph();
 
     TelemetryReport { rows, tracers, flamegraph }
 }

@@ -1,8 +1,9 @@
 //! Telemetry acceptance tests against the real paper workloads: the folded
-//! profile must agree *exactly* with the runtime's `Stats` counters (the
-//! fold happens online at record time, so ring capacity must not matter),
-//! tracing must be observation-only, and the Figure 8 workloads must
-//! attribute their checks to concrete source lines.
+//! profile and the span tree must agree *exactly* with the runtime's
+//! `Stats` counters (the folds happen online at record time, so ring
+//! capacity must not matter), tracing must be observation-only, and the
+//! Figure 8 workloads must attribute their checks to concrete source
+//! lines.
 
 use rc_lang::interp::{run, run_audited, Outcome};
 use rc_lang::{CheckMode, RunConfig};
@@ -32,6 +33,53 @@ fn folded_profile_totals_equal_stats_on_every_workload() {
         assert_eq!(p.checks_traditional, s.checks_traditional, "{}: checks_traditional", w.name);
         assert_eq!(p.gc_collections, s.gc_collections, "{}: gc_collections", w.name);
         assert_eq!(p.checks_failed, 0, "{}: clean runs fail no checks", w.name);
+    }
+}
+
+/// SplitMix64 (Steele et al.) — the same generator rc-fuzz seeds with.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// For 48 SplitMix64-chosen (workload × config) combinations, the span
+/// tree a traced run carries sums to the run's `Stats` counters and
+/// passed structural verification against the heap's region table. Any
+/// drift means the tree dropped or double-counted an event.
+#[test]
+fn span_totals_match_stats_across_48_seeds() {
+    let workloads = rc_workloads::all();
+    for seed in 0..48u64 {
+        let mut state = seed;
+        let w = &workloads[(splitmix64(&mut state) % workloads.len() as u64) as usize];
+        let (cname, config) = match splitmix64(&mut state) % 4 {
+            0 => ("nq", RunConfig::rc(CheckMode::Nq)),
+            1 => ("qs", RunConfig::rc(CheckMode::Qs)),
+            2 => ("inf", RunConfig::rc_inf()),
+            _ => ("nc", RunConfig::rc(CheckMode::Nc)),
+        };
+        let ctx = format!("seed {seed}: {} under {cname}", w.name);
+
+        let c = prepare_workload(w, SCALE);
+        let r = run(&c, &config.traced());
+        let spans = r.spans.as_deref().unwrap_or_else(|| panic!("{ctx}: spans missing"));
+        assert_eq!(spans.verification(), Some(&Ok(())), "{ctx}");
+        let s = &r.stats;
+        assert_eq!(spans.total_allocs(), s.objects_allocated, "{ctx}: allocs");
+        assert_eq!(spans.total_alloc_words(), s.words_allocated, "{ctx}: words");
+        assert_eq!(
+            spans.total_checks(),
+            s.checks_sameregion + s.checks_traditional + s.checks_parentptr,
+            "{ctx}: checks"
+        );
+        assert_eq!(
+            spans.total_rc_updates(),
+            s.rc_updates_full + s.rc_updates_same,
+            "{ctx}: rc updates"
+        );
     }
 }
 

@@ -123,12 +123,12 @@ pub struct RunConfig {
     /// Hierarchy numbering scheme (ablation knob).
     pub numbering: NumberingScheme,
     /// Event-stream sinks to attach: [`sink::TRACE`] for the event tracer
-    /// ([`RunConfig::traced`], [`crate::interp::RunResult::tracer`]) and
-    /// [`sink::SPANS`] for region lifecycle spans
-    /// ([`RunConfig::with_spans`], [`crate::interp::RunResult::spans`]);
-    /// those two builders are its only setters. 0 = the stream is off,
-    /// which costs a single predictable branch per instrumented
-    /// operation.
+    /// ([`RunConfig::traced`], [`crate::interp::RunResult::tracer`]; it
+    /// brings the spans along) and [`sink::SPANS`] for region lifecycle
+    /// spans ([`RunConfig::with_spans`],
+    /// [`crate::interp::RunResult::spans`]); those two builders are its
+    /// only setters. 0 = the stream is off, which costs a single
+    /// predictable branch per instrumented operation.
     pub(crate) sinks: u32,
     /// Timeline sampling interval in runtime events (interpreter steps and
     /// runtime operations); 0 = sampling off, which costs a single
@@ -246,7 +246,8 @@ impl RunConfig {
 
     /// The same configuration with event tracing: a ring of the
     /// [`region_rt::DEFAULT_RING_CAPACITY`] most recent raw events plus
-    /// the exact folded profile.
+    /// the exact folded profile, and the region lifecycle spans its
+    /// region views read (as [`RunConfig::with_spans`]).
     pub fn traced(mut self) -> RunConfig {
         self.sinks |= sink::TRACE;
         self

@@ -101,7 +101,8 @@ pub struct RunResult {
     /// Result of the final heap audit (`None` when auditing was off).
     pub audit: Option<Result<(), region_rt::AuditError>>,
     /// The telemetry tracer, when [`RunConfig::traced`] attached it:
-    /// recent raw events plus the folded [`region_rt::Profile`].
+    /// recent raw events plus the folded [`region_rt::Profile`], whose
+    /// region views read [`RunResult::spans`].
     pub tracer: Option<Box<region_rt::Tracer>>,
     /// Per-site check-outcome tallies, when
     /// [`RunConfig::count_checks`] was on: how often each annotated
@@ -115,10 +116,11 @@ pub struct RunResult {
     /// armed any plane: which faults fired, at which operation ordinals
     /// and virtual times.
     pub faults: Option<FaultReport>,
-    /// The region-lifecycle span tree, when [`RunConfig::with_spans`]
-    /// attached it: one span per region with provenance-stamped
-    /// alloc/RC/check annotations, already verified against the heap's
-    /// region table (see [`region_rt::SpanTree::verification`]).
+    /// The region-lifecycle span tree, when [`RunConfig::with_spans`] or
+    /// [`RunConfig::traced`] attached it: one span per region with
+    /// provenance-stamped alloc/RC/check annotations, already verified
+    /// against the heap's region table (see
+    /// [`region_rt::SpanTree::verification`]).
     pub spans: Option<Box<region_rt::SpanTree>>,
     /// Post-mortem heap snapshots, when [`RunConfig::snapshots`] was on:
     /// one per GC pause (reason `gc`), then either the pre-unwind trap
@@ -136,9 +138,10 @@ pub struct RunResult {
     /// Each task's un-merged observability facet (root first, then
     /// shards in DFS order), for programs that spawned: per-task
     /// `Stats`/cycles/steps, the typed scheduler-event log on the shared
-    /// virtual clock, and — when sampling/tracing were on — the task's
-    /// own timeline and trace. The merged telemetry above is exactly the
-    /// in-order fold of these. Empty for programs without tasks.
+    /// virtual clock, and — when sampling was on — the task's own
+    /// timeline. The merged `stats`, `cycles`, `steps` and `timeline`
+    /// above are exactly the in-order fold of these. Empty for programs
+    /// without tasks.
     pub task_reports: Vec<TaskReport>,
 }
 
@@ -276,7 +279,6 @@ where
             stats: interp.heap.stats.clone(),
             sched: root_sched,
             timeline: None, // patched from the root's taken sinks below
-            tracer: None,
         });
         for s in &interp.shards {
             task_reports.push(TaskReport {
@@ -290,7 +292,6 @@ where
                 stats: s.heap.stats.clone(),
                 sched: s.sched.clone(),
                 timeline: s.sinks.timeline.clone(),
-                tracer: s.sinks.tracer.clone(),
             });
         }
     }
@@ -303,7 +304,6 @@ where
     let mut sinks = interp.heap.take_sinks();
     if let Some(root) = task_reports.first_mut() {
         root.timeline = sinks.timeline.clone();
-        root.tracer = sinks.tracer.clone();
     }
     for s in &mut interp.shards {
         stats = stats.merge(&s.heap.stats);
@@ -549,11 +549,11 @@ where
             delete_policy,
             numbering: config.numbering,
         });
-        if config.sinks & sink::TRACE != 0 {
-            heap.enable_tracing(region_rt::DEFAULT_RING_CAPACITY);
-        }
         if config.sinks & sink::SPANS != 0 {
             heap.enable_spans(region_rt::DEFAULT_SPAN_NOTE_CAP);
+        }
+        if config.sinks & sink::TRACE != 0 {
+            heap.enable_tracing(region_rt::DEFAULT_RING_CAPACITY);
         }
         if config.count_checks {
             heap.enable_check_counting();

@@ -87,8 +87,8 @@ fn tracing_does_not_perturb_the_run() {
     assert_eq!(plain.outcome, traced.outcome);
     assert_eq!(plain.stats, traced.stats, "telemetry must be observation-only");
     assert_eq!(plain.cycles, traced.cycles);
-    assert!(plain.tracer.is_none());
-    assert!(traced.tracer.is_some());
+    assert!(plain.tracer.is_none() && plain.spans.is_none());
+    assert!(traced.tracer.is_some() && traced.spans.is_some());
 }
 
 #[test]
@@ -113,7 +113,7 @@ int main() deletes {
     let c = prepare(src).unwrap();
     let r = run(&c, &RunConfig::rc_inf().traced());
     assert!(r.outcome.is_exit(), "{:?}", r.outcome);
-    let fg = r.profile().unwrap().flamegraph();
+    let fg = r.spans.as_ref().unwrap().flamegraph();
     // Successive user regions are nested one level deeper each.
     let depth_of = |rname: &str| {
         fg.lines()
@@ -150,4 +150,92 @@ fn sampling_does_not_perturb_the_run_and_aligns_sites() {
         "no sample attributed to the hot loop: {:?}",
         s.iter().map(|x| x.site).collect::<Vec<_>>()
     );
+}
+
+/// Two tasks, each creating a subregion in its shard, and a subregion of
+/// the root deleted after the join: the shard merge renumbers both
+/// shards' regions past the root's.
+const SPAWN: &str = "\
+struct cell { int v; struct cell *sameregion next; };
+int main() deletes {
+    region a = newregion();
+    region b = newregion();
+    region s = newsubregion(a);
+    int n = 6;
+    spawn a {
+        struct cell *head = null;
+        int i;
+        i = 0;
+        while (i < n) {
+            struct cell *c = ralloc(a, struct cell);
+            c->v = i;
+            c->next = head;
+            head = c;
+            i = i + 1;
+        }
+        region t = newsubregion(a);
+        struct cell *d = ralloc(t, struct cell);
+        d->v = 1;
+        d = null;
+        deleteregion(t);
+    }
+    spawn b {
+        struct cell *p = ralloc(b, struct cell);
+        p->v = n;
+    }
+    join;
+    struct cell *q = ralloc(s, struct cell);
+    q->v = 2;
+    q = null;
+    deleteregion(s);
+    deleteregion(a);
+    deleteregion(b);
+    return n;
+}
+";
+
+/// The merged profile of a traced two-task program, byte for byte, under
+/// the inline and the seeded scheduler.
+#[test]
+fn spawn_profile_is_pinned_under_both_schedulers() {
+    let c = prepare(SPAWN).unwrap();
+    for cfg in
+        [RunConfig::rc(CheckMode::Qs).traced(), RunConfig::rc(CheckMode::Qs).det_sched(11).traced()]
+    {
+        let r = run(&c, &cfg);
+        assert_eq!(r.outcome, rc_lang::interp::Outcome::Exit(6));
+        let (p, spans) = (r.profile().unwrap(), r.spans.as_deref().unwrap());
+        assert_eq!(
+            p.to_json("spawn", spans).render(),
+            r#"{"kind":"profile","source":"spawn","totals":{"regions_created":6,"subregions_created":2,"regions_deleted":4,"allocs":21,"alloc_words":30,"rc_updates_full":0,"rc_updates_same":0,"checks_sameregion":6,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"gc_collections":0,"audit_runs":0,"audit_failures":0,"faults_injected":0},"sites":[{"line":0,"allocs":11,"alloc_words":11,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":12,"allocs":6,"alloc_words":12,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":14,"allocs":1,"alloc_words":1,"checks_sameregion":6,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":19,"allocs":1,"alloc_words":2,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":25,"allocs":1,"alloc_words":2,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":29,"allocs":1,"alloc_words":2,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0}],"regions":[{"region":0,"parent":null,"created_at":0,"alloc_objects":12,"alloc_words":12,"deleted":false,"live_words_at_delete":0,"lifetime_cycles":0},{"region":1,"parent":0,"created_at":369,"alloc_objects":0,"alloc_words":0,"deleted":true,"live_words_at_delete":0,"lifetime_cycles":456},{"region":2,"parent":0,"created_at":471,"alloc_objects":0,"alloc_words":0,"deleted":true,"live_words_at_delete":0,"lifetime_cycles":360},{"region":3,"parent":1,"created_at":577,"alloc_objects":1,"alloc_words":2,"deleted":true,"live_words_at_delete":2,"lifetime_cycles":251},{"region":4,"parent":0,"created_at":366,"alloc_objects":6,"alloc_words":12,"deleted":false,"live_words_at_delete":0,"lifetime_cycles":0},{"region":5,"parent":4,"created_at":863,"alloc_objects":1,"alloc_words":2,"deleted":true,"live_words_at_delete":2,"lifetime_cycles":242},{"region":6,"parent":0,"created_at":366,"alloc_objects":1,"alloc_words":2,"deleted":false,"live_words_at_delete":0,"lifetime_cycles":0}],"lifetime_hist":[0,0,0,0,0,0,0,0,2,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#
+        );
+        assert_eq!(
+            p.text_report("spawn", spans),
+            r#"telemetry profile — spawn
+  regions   6 created (2 subregions), 4 deleted
+  allocs    21 objects, 30 words
+  rc        0 full + 0 early-exit updates
+  checks    6 sameregion, 0 parentptr, 0 traditional (0 failed)
+  top check sites:
+    spawn:14             6 checks (6 sr / 0 pp / 0 trad)
+  top alloc sites:
+    spawn:12            12 words in 6 objects
+    spawn:0             11 words in 11 objects
+    spawn:19             2 words in 1 objects
+    spawn:25             2 words in 1 objects
+    spawn:29             2 words in 1 objects
+  region lifetimes (virtual cycles):
+    [2^7, 2^8)            2  ##############################
+    [2^8, 2^9)            2  ##############################
+region flamegraph (bar ∝ words allocated in subtree)
+r0 (traditional)                 30 words  ########################################
+  r1 †                            2 words  ###
+    r3 †                          2 words  ###
+  r2 †                            0 words  
+  r4                             14 words  ###################
+    r5 †                          2 words  ###
+  r6                              2 words  ###
+"#
+        );
+    }
 }

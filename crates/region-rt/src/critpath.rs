@@ -386,7 +386,6 @@ mod tests {
                 ..SchedLog::default()
             },
             timeline: None,
-            tracer: None,
         }
     }
 

@@ -18,7 +18,7 @@ use crate::page::{PageOwner, PageStore};
 use crate::region::{renumber, renumber_gapped, RegionData, RegionId, TRADITIONAL};
 use crate::stats::Stats;
 use crate::timeline::{occupancy_bucket, HeapGauges, Timeline};
-use crate::trace::{Event, Sinks, Tracer};
+use crate::trace::{Event, Sinks};
 
 /// How the region hierarchy is numbered for the `parentptr` interval
 /// check.
@@ -597,36 +597,6 @@ impl Heap {
             .sum()
     }
 
-    /// Resets every metric — all [`Stats`] counters including the cycle
-    /// accumulators, the virtual clock, the attribution site, and any
-    /// attached tracer (its ring capacity is preserved; its ring and
-    /// folded profile start over). The heap contents are untouched; used
-    /// by harnesses that want to measure a steady-state phase.
-    pub fn reset_metrics(&mut self) {
-        self.stats = Stats::new();
-        self.clock.reset();
-        self.trace_site = 0;
-        if let Some(t) = self.sinks.tracer.as_mut() {
-            **t = Tracer::new(t.capacity());
-        }
-        if let Some(tl) = self.sinks.timeline.as_mut() {
-            // Samples start over at the configured interval; the sampler
-            // itself stays attached.
-            tl.reset();
-            self.sample_countdown = tl.interval();
-        }
-        // Region birth stamps follow the clock back to zero so post-reset
-        // lifetimes (trace and spans alike) measure from the reset point.
-        for rd in &mut self.regions {
-            rd.born_at = 0;
-        }
-        if let Some(t) = self.sinks.spans.as_mut() {
-            // Spans restart with the clock: regions still live reopen at
-            // time 0 (their note bound is preserved).
-            **t = crate::span::SpanTree::seeded(t.note_cap(), &self.regions);
-        }
-    }
-
     // ---- timeline sampling ------------------------------------------------
 
     /// Attaches a [`Timeline`] sampler that snapshots the heap every
@@ -692,7 +662,7 @@ impl Heap {
             // Decimation may have doubled the interval; reschedule from it.
             self.sample_countdown = tl.interval();
             // Surface lost resolution in the run's counters (assignment,
-            // not +=: both reset together via reset_metrics).
+            // not +=: the timeline's count is cumulative).
             self.stats.samples_dropped = tl.samples_dropped();
         }
     }
@@ -1084,50 +1054,6 @@ mod tests {
         assert_eq!(h.read_word(a, 1).unwrap(), 99);
     }
 
-    #[test]
-    fn reset_metrics_zeroes_every_counter() {
-        use crate::rcops::WriteMode;
-        let mut h = Heap::with_defaults();
-        h.enable_tracing(64);
-        let counted = list_type(&mut h, PtrKind::Counted);
-        let checked = list_type(&mut h, PtrKind::SameRegion);
-        // Exercise every accumulator: regions, allocs, counted and checked
-        // stores, malloc/free, GC, unscan, pins.
-        let r1 = h.new_region();
-        let r2 = h.new_subregion(r1).unwrap();
-        let a = h.ralloc(r1, counted).unwrap();
-        let b = h.ralloc(r2, counted).unwrap();
-        h.write_ptr(a, 0, b, WriteMode::Counted).unwrap();
-        h.write_ptr(a, 0, Addr::NULL, WriteMode::Counted).unwrap();
-        let c = h.ralloc(r1, checked).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Check(PtrKind::SameRegion)).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Safe).unwrap();
-        h.write_ptr(c, 0, c, WriteMode::Raw).unwrap();
-        h.write_int(c, 1, 3).unwrap();
-        let m = h.m_alloc(counted, 1).unwrap();
-        h.m_free(m).unwrap();
-        h.gc_alloc(counted, 1).unwrap();
-        h.gc_collect(&[]);
-        h.pin_region(r1);
-        h.unpin_region(r1);
-        h.delete_region(r2).unwrap();
-        h.delete_region(r1).unwrap();
-        assert_ne!(h.stats, Stats::new(), "the workout touched the stats");
-        assert!(h.clock.cycles() > 0);
-        assert!(h.tracer().unwrap().recorded() > 0);
-
-        h.reset_metrics();
-        // Every counter — including the cycle accumulators rc_cycles,
-        // check_cycles, unscan_cycles, alloc_cycles, gc_cycles and the
-        // live/peak gauges — reads as a fresh Stats.
-        assert_eq!(h.stats, Stats::new());
-        assert_eq!(h.clock.cycles(), 0);
-        let t = h.tracer().expect("tracer survives reset");
-        assert_eq!(t.recorded(), 0);
-        assert_eq!(t.profile().totals, crate::profile::ProfileTotals::default());
-        assert_eq!(t.capacity(), 64, "capacity preserved");
-    }
-
     /// A fixed workout touching regions, malloc, and GC, identical across
     /// sampled and unsampled heaps.
     fn workout(h: &mut Heap) {
@@ -1208,23 +1134,6 @@ mod tests {
         h.sample_now();
         assert!(h.take_sinks().timeline.is_some());
         assert!(!h.sampling_enabled());
-    }
-
-    #[test]
-    fn reset_metrics_restarts_the_timeline() {
-        let mut h = Heap::with_defaults();
-        h.enable_sampling(2, 16);
-        let ty = list_type(&mut h, PtrKind::Counted);
-        let r = h.new_region();
-        for _ in 0..10 {
-            h.ralloc(r, ty).unwrap();
-        }
-        assert!(!h.timeline().unwrap().is_empty());
-        h.reset_metrics();
-        let tl = h.timeline().expect("sampler survives reset");
-        assert!(tl.is_empty());
-        assert_eq!(tl.interval(), 2);
-        assert_eq!(tl.ticks(), 0);
     }
 
     #[test]

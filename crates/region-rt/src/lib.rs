@@ -40,11 +40,12 @@
 //! - a zero-dependency telemetry subsystem: one typed event per dynamic
 //!   event with per-site attribution, emitted once at its hook site and
 //!   folded by the sinks one mask selects ([`trace`]): a bounded ring
-//!   with folded profiles — lifetime histograms, hot-region/hot-site
-//!   tables, a region flamegraph, JSONL export ([`profile`], [`json`]) —
-//!   a span tree modeling every region lifecycle as a
-//!   `newregion`…`deleteregion` interval with span-scoped alloc/RC/check
-//!   annotations for provenance export ([`span`]), and per-check-site
+//!   with folded profiles — totals, hot-site tables, JSONL export
+//!   ([`profile`], [`json`]) — a span tree modeling every region
+//!   lifecycle as a `newregion`…`deleteregion` interval with span-scoped
+//!   alloc/RC/check annotations, the one per-region record behind the
+//!   profile's region rows, lifetime histogram and region flamegraph
+//!   ([`span`]), and per-check-site
 //!   tallies ([`checkcount`]); plus a deterministic virtual-clock
 //!   timeline sampler for time-resolved occupancy, fragmentation, and
 //!   RC/check-rate metrics ([`timeline`]). See `docs/OBSERVABILITY.md`;
@@ -116,7 +117,7 @@ pub use fault::{FaultArmReport, FaultMode, FaultPlan, FaultPlane, FaultReport, I
 pub use heap::{DeletePolicy, Heap, HeapConfig, NumberingScheme};
 pub use json::{Json, JsonParseError};
 pub use layout::{PtrKind, SlotKind, TypeId, TypeLayout};
-pub use profile::{Profile, ProfileTotals, RegionProfile, SiteProfile};
+pub use profile::{Profile, ProfileTotals, SiteProfile};
 pub use rcops::WriteMode;
 pub use region::{RegionId, TRADITIONAL};
 pub use shard::{

@@ -24,7 +24,8 @@
 //! telemetry the task accumulated) and the interpreter folds it into the
 //! global report with [`Stats::merge`](crate::Stats::merge) and
 //! [`Sinks::merge`] — the exact merges of the [`Profile`](crate::Profile),
-//! [`SpanTree`](crate::SpanTree), [`Timeline`](crate::Timeline) and
+//! [`SpanTree`](crate::SpanTree) (which renumbers each shard's regions
+//! past the ones already merged), [`Timeline`](crate::Timeline) and
 //! [`CheckCounter`](crate::CheckCounter), all associativity-tested — so
 //! the merged report is byte-deterministic in join order regardless of
 //! the schedule that ran the tasks.
@@ -36,7 +37,7 @@ use crate::json::Json;
 use crate::region::RegionId;
 use crate::stats::Stats;
 use crate::timeline::Timeline;
-use crate::trace::{Sinks, Tracer};
+use crate::trace::Sinks;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -412,10 +413,10 @@ impl SchedRecorder {
 
 /// One task's un-merged observability facet, preserved alongside the
 /// merged report when a program spawned: identity (spawn-tree position
-/// and source site), work (cycles/steps/[`Stats`]), the scheduler log,
-/// timeline and trace. The merged view is exactly the
+/// and source site), work (cycles/steps/[`Stats`]), the scheduler log
+/// and the timeline. The merged work and timeline are exactly the
 /// in-order fold of these (asserted by the fuzz oracle and the critpath
-/// property tests).
+/// property tests); a task's events reach only the merged sinks.
 #[derive(Debug, Clone)]
 pub struct TaskReport {
     /// The task's shard id ([`ShardId::ROOT`] for the main task).
@@ -438,8 +439,6 @@ pub struct TaskReport {
     pub sched: SchedLog,
     /// The task's timeline, if sampling was on.
     pub timeline: Option<Box<Timeline>>,
-    /// The task's event ring + profile, if tracing was on.
-    pub tracer: Option<Box<Tracer>>,
 }
 
 impl TaskReport {
@@ -449,8 +448,7 @@ impl TaskReport {
     }
 
     /// Report encoding: identity, work, and the scheduler log. The
-    /// timeline and trace ring travel through their own exporters (JSONL
-    /// / Perfetto), not this object. Field order fixed for
+    /// timeline travels through its own exporter, not this object. Field order fixed for
     /// byte-determinism.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

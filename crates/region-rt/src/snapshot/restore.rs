@@ -1107,6 +1107,10 @@ fn span_from(rs: &RegionSnapshot) -> Span {
         region: rs.region,
         parent: rs.parent.map_or(NO_REGION, |p| p),
         opened_at: rs.born_at,
+        // A restored tree folded no lifecycle event of its own.
+        created_at: 0,
+        folded_create: false,
+        folded_delete: false,
         closed_at: rs.closed_at,
         allocs: rs.allocs,
         alloc_words: rs.alloc_words,

@@ -16,7 +16,7 @@
 //!
 //! - **Pay only when enabled.** The tree is one consumer of the event
 //!   stream ([`sink::SPANS`]); it is `None` — the default — unless
-//!   [`Heap::enable_spans`] was called.
+//!   [`Heap::enable_spans`] or [`Heap::enable_tracing`] was called.
 //! - **Bounded notes, exact aggregates.** Raw notes live in a bounded
 //!   vector (newest dropped when full, never reallocated past the cap),
 //!   but per-span counters and the per-check-site table are folded at
@@ -27,6 +27,11 @@
 //!
 //! Span indices equal region indices: the runtime never reuses a region
 //! slot, so `spans()[r]` is region `r`'s span for the whole run.
+//!
+//! The spans are the only per-region record of the telemetry stack: the
+//! profile's region rows, its lifetime histogram and the region
+//! flamegraph are views of them ([`Span::touched`],
+//! [`SpanTree::lifetime_histogram`], [`SpanTree::flamegraph`]).
 
 use crate::checkcount::{CheckCounter, NO_CHECK_SITE};
 use crate::cost::Cycles;
@@ -37,6 +42,10 @@ use crate::trace::{sink, Event, NO_REGION};
 /// Default bound on retained raw notes.
 pub const DEFAULT_SPAN_NOTE_CAP: usize = 256 * 1024;
 
+/// Number of log₂ lifetime buckets: bucket 0 holds lifetime 0, bucket
+/// `i ≥ 1` holds lifetimes in `[2^(i-1), 2^i)`.
+pub const LIFETIME_BUCKETS: usize = 65;
+
 /// One region lifecycle. `region` is the raw
 /// [`RegionId`](crate::region::RegionId) index; the span for region `r`
 /// sits at index `r` of [`SpanTree::spans`].
@@ -44,12 +53,21 @@ pub const DEFAULT_SPAN_NOTE_CAP: usize = 256 * 1024;
 pub struct Span {
     /// The region this span covers.
     pub region: u32,
-    /// Parent region ([`NO_REGION`] for the traditional root, or for a
-    /// region whose creation predates span recording).
+    /// Parent region ([`NO_REGION`] for the traditional root). A span
+    /// seeded at attach takes the region's parent from the heap.
     pub parent: u32,
     /// Virtual time of `newregion`/`newsubregion` (the region's
-    /// `born_at`, so durations equal the profile's `lifetime_cycles`).
+    /// `born_at`, so durations equal the deletion event's
+    /// `lifetime_cycles`).
     pub opened_at: Cycles,
+    /// Virtual time of the creation event, after the creation charge
+    /// (0 unless `folded_create`).
+    pub created_at: Cycles,
+    /// Whether the creation was folded from the stream rather than
+    /// seeded at attach.
+    pub folded_create: bool,
+    /// Whether the reclamation was folded from the stream.
+    pub folded_delete: bool,
     /// Virtual time of reclamation; `None` while the region is live.
     pub closed_at: Option<Cycles>,
     /// Objects allocated into the region.
@@ -75,6 +93,9 @@ impl Span {
             region,
             parent,
             opened_at,
+            created_at: 0,
+            folded_create: false,
+            folded_delete: false,
             closed_at: None,
             allocs: 0,
             alloc_words: 0,
@@ -89,6 +110,12 @@ impl Span {
     /// Span duration: reclamation minus creation (`None` while open).
     pub fn duration(&self) -> Option<Cycles> {
         self.closed_at.map(|c| c.saturating_sub(self.opened_at))
+    }
+
+    /// Whether a creation, deletion or allocation event of the stream
+    /// touched the region: the regions the profile reports.
+    pub fn touched(&self) -> bool {
+        self.folded_create || self.folded_delete || self.allocs > 0
     }
 }
 
@@ -159,8 +186,10 @@ impl SpanTree {
         t
     }
 
-    fn open(&mut self, region: u32, parent: u32, at: Cycles) {
-        self.spans.push(Span::new(region, parent, at));
+    fn open(&mut self, region: u32, parent: u32, born: Cycles, at: Cycles) {
+        let mut s = Span::new(region, parent, born);
+        (s.created_at, s.folded_create) = (at, true);
+        self.spans.push(s);
     }
 
     /// Grafts another tree's spans into this one under a shard-global
@@ -256,6 +285,7 @@ impl SpanTree {
         if let Some(s) = self.spans.get_mut(region as usize) {
             s.closed_at = Some(at);
             s.freed_words = freed_words;
+            s.folded_delete = true;
         }
     }
 
@@ -272,16 +302,16 @@ impl SpanTree {
     }
 
     /// Folds one event: creation opens a span (at the region's `born_at`,
-    /// so durations equal the profile's `lifetime_cycles` exactly),
+    /// so durations equal the deletion's `lifetime_cycles` exactly),
     /// reclamation closes it, and every other event except audits bumps
     /// its span's counters and is kept as a note. Check events also fold
     /// into the per-check-site table, except unattributed ones
     /// ([`NO_CHECK_SITE`]).
     pub fn fold(&mut self, ev: &Event) {
         match *ev {
-            Event::RegionCreated { region, born, .. } => self.open(region, TRADITIONAL.0, born),
-            Event::SubregionCreated { region, parent, born, .. } => {
-                self.open(region, parent, born)
+            Event::RegionCreated { region, born, at } => self.open(region, TRADITIONAL.0, born, at),
+            Event::SubregionCreated { region, parent, born, at } => {
+                self.open(region, parent, born, at)
             }
             Event::RegionDeleted { region, live_words, at, .. } => {
                 self.close(region, at, live_words)
@@ -392,6 +422,63 @@ impl SpanTree {
         self.spans.iter().map(|s| s.faults).sum()
     }
 
+    /// The log₂ histogram (see [`LIFETIME_BUCKETS`]) of the lifetimes of
+    /// regions whose reclamation was folded from the stream.
+    pub fn lifetime_histogram(&self) -> [u64; LIFETIME_BUCKETS] {
+        let mut hist = [0; LIFETIME_BUCKETS];
+        for s in self.spans.iter().filter(|s| s.folded_delete) {
+            hist[log2_bucket(s.duration().unwrap_or(0))] += 1;
+        }
+        hist
+    }
+
+    /// The region flamegraph: the [`Span::touched`] regions as an
+    /// indented tree under the traditional root, each sized by the words
+    /// allocated in its subtree. A region whose creation was not folded
+    /// hangs off the root.
+    pub fn flamegraph(&self) -> String {
+        let n = self.spans.len().max(1);
+        let mut words: Vec<u64> = self.spans.iter().map(|s| s.alloc_words).collect();
+        words.resize(n, 0);
+        let mut children = vec![Vec::new(); n];
+        // A region is created after its parent, so a parent's index is
+        // below its children's and one backward pass sums every subtree.
+        for (i, s) in self.spans.iter().enumerate().skip(1).rev() {
+            if s.touched() {
+                let p = match s.parent as usize {
+                    p if s.folded_create && p < i => p,
+                    _ => TRADITIONAL.0 as usize,
+                };
+                words[p] += words[i];
+                children[p].push(i);
+            }
+        }
+        let total = words[0].max(1);
+        let mut out = String::from("region flamegraph (bar ∝ words allocated in subtree)\n");
+        let mut stack = vec![(TRADITIONAL.0 as usize, 0usize)];
+        while let Some((node, depth)) = stack.pop() {
+            let w = words[node];
+            let bar_len = ((w as f64 / total as f64) * 40.0).round() as usize;
+            let label = if node == TRADITIONAL.0 as usize {
+                "r0 (traditional)".to_string()
+            } else {
+                let dead = if self.spans[node].folded_delete { " †" } else { "" };
+                format!("r{node}{dead}")
+            };
+            out.push_str(&format!(
+                "{:indent$}{label:<width$} {w:>10} words  {bar}\n",
+                "",
+                indent = depth * 2,
+                width = 24usize.saturating_sub(depth * 2),
+                bar = "#".repeat(bar_len.max(usize::from(w > 0)))
+            ));
+            // Children were collected in descending order: pushing them
+            // as is pops them ascending.
+            stack.extend(children[node].iter().map(|&k| (k, depth + 1)));
+        }
+        out
+    }
+
     /// Stamps the outcome of [`Heap::seal_spans`]' well-formedness
     /// verification into the tree, so consumers that only see the
     /// detached tree (the fuzz oracle, report builders) can read it.
@@ -497,10 +584,20 @@ impl SpanTree {
     }
 }
 
+fn log2_bucket(v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        64 - v.leading_zeros() as usize
+    }
+}
+
 impl Heap {
     /// Attaches a [`SpanTree`] retaining at most `note_cap` raw notes.
     /// Regions that already exist are seeded (the traditional region's
-    /// span opens at time 0). Replaces any existing tree.
+    /// span opens at time 0). Replaces any existing tree, including the
+    /// one [`Heap::enable_tracing`] attached, so the profile's region
+    /// rows start over with it.
     pub fn enable_spans(&mut self, note_cap: usize) {
         self.sinks.spans = Some(Box::new(SpanTree::seeded(note_cap, &self.regions)));
         self.sink_mask |= sink::SPANS;
@@ -544,6 +641,13 @@ mod tests {
             statically_safe: false,
             at,
         }
+    }
+
+    /// An empty tree holding only the traditional region's span.
+    fn rooted(note_cap: usize) -> SpanTree {
+        let mut t = SpanTree::new(note_cap);
+        t.spans.push(Span::new(TRADITIONAL.0, NO_REGION, 0));
+        t
     }
 
     fn ty(h: &mut Heap) -> crate::layout::TypeId {
@@ -592,8 +696,7 @@ mod tests {
 
     #[test]
     fn note_bound_drops_but_tallies_stay_exact() {
-        let mut t = SpanTree::new(16);
-        t.open(0, NO_REGION, 0);
+        let mut t = rooted(16);
         for i in 0..40 {
             t.fold(&check(0, i, 7, i % 2 == 0));
         }
@@ -640,11 +743,10 @@ mod tests {
     /// counters, one alloc note each, and some traditional-region
     /// activity to exercise the root fold.
     fn shard_tree(extra: u32, salt: u64) -> SpanTree {
-        let mut t = SpanTree::new(64);
-        t.open(0, NO_REGION, 0);
+        let mut t = rooted(64);
         t.fold(&alloc(0, salt, 1, salt as u32 + 1));
         for r in 1..=extra {
-            t.open(r, r - 1, salt + r as u64);
+            t.open(r, r - 1, salt + r as u64, salt + r as u64);
             t.fold(&alloc(r, salt + r as u64, r, r));
             t.fold(&check(r, salt + r as u64, 10 + r, r % 2 == 0));
             t.close(r, salt + 100 + r as u64, r as u64);
@@ -711,10 +813,57 @@ mod tests {
         t.structurally_well_formed().unwrap();
         t.close(2, 1000, 0);
         t.structurally_well_formed().unwrap();
-        let mut bad = SpanTree::new(16);
-        bad.open(0, NO_REGION, 0);
+        let mut bad = rooted(16);
         bad.spans[0].region = 7;
         assert!(bad.structurally_well_formed().is_err());
+    }
+
+    #[test]
+    fn flamegraph_indents_subregions_under_parents() {
+        let mut t = rooted(64);
+        t.fold(&Event::RegionCreated { region: 1, at: 0, born: 0 });
+        t.fold(&Event::SubregionCreated { region: 2, parent: 1, at: 0, born: 0 });
+        t.fold(&Event::SubregionCreated { region: 3, parent: 2, at: 0, born: 0 });
+        for (r, words) in [(1, 10), (2, 20), (3, 30)] {
+            t.fold(&alloc(r, 0, 0, words));
+        }
+        let fg = t.flamegraph();
+        let lines: Vec<&str> = fg.lines().collect();
+        // Header, r0, then r1 > r2 > r3 each two spaces deeper.
+        assert!(lines[1].starts_with("r0 (traditional)"));
+        assert!(lines[2].starts_with("  r1"));
+        assert!(lines[3].starts_with("    r2"));
+        assert!(lines[4].starts_with("      r3"));
+        // Subtree sizing: r1's subtree holds all 60 words.
+        assert!(lines[2].contains("60 words"));
+        assert!(lines[3].contains("50 words"));
+        assert!(lines[4].contains("30 words"));
+    }
+
+    #[test]
+    fn lifetime_histogram_counts_only_folded_deletions() {
+        let mut h = Heap::with_defaults();
+        let seeded_dead = h.new_region();
+        h.delete_region(seeded_dead).unwrap();
+        h.enable_spans(64);
+        let r = h.new_region();
+        h.delete_region(r).unwrap();
+        let t = h.spans().unwrap();
+        let life = t.spans()[r.0 as usize].duration().unwrap();
+        let mut want = [0; LIFETIME_BUCKETS];
+        want[log2_bucket(life)] = 1;
+        assert_eq!(t.lifetime_histogram(), want);
+        assert!(!t.spans()[seeded_dead.0 as usize].touched());
+    }
+
+    #[test]
+    fn log2_buckets() {
+        assert_eq!(log2_bucket(0), 0);
+        assert_eq!(log2_bucket(1), 1);
+        assert_eq!(log2_bucket(2), 2);
+        assert_eq!(log2_bucket(3), 2);
+        assert_eq!(log2_bucket(4), 3);
+        assert_eq!(log2_bucket(u64::MAX), 64);
     }
 
     #[test]

@@ -178,8 +178,6 @@ impl Baseline {
 /// [`MetricsSnapshot`]s.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    /// Ticks between samples as originally configured.
-    initial_interval: u64,
     /// Current ticks between samples (doubles on decimation).
     interval: u64,
     /// Sample cap; reaching it drops every other sample.
@@ -199,7 +197,6 @@ impl Timeline {
     pub fn new(interval: u64, cap: usize) -> Timeline {
         let interval = interval.max(1);
         Timeline {
-            initial_interval: interval,
             interval,
             cap: cap.max(8),
             samples: Vec::new(),
@@ -241,7 +238,7 @@ impl Timeline {
         self.samples.is_empty()
     }
 
-    /// Cumulative samples discarded by decimation since the last reset.
+    /// Cumulative samples discarded by decimation.
     /// Their deltas were folded into surviving samples, so this counts
     /// lost *resolution*, not lost events.
     pub fn samples_dropped(&self) -> u64 {
@@ -251,17 +248,6 @@ impl Timeline {
     /// Extracts one metric as a series, for charting.
     pub fn series(&self, f: impl Fn(&MetricsSnapshot) -> u64) -> Vec<u64> {
         self.samples.iter().map(f).collect()
-    }
-
-    /// Clears the samples and restores the configured interval; used by
-    /// `Heap::reset_metrics`.
-    pub fn reset(&mut self) {
-        self.samples.clear();
-        self.seq = 0;
-        self.ticks = 0;
-        self.interval = self.initial_interval;
-        self.last = Baseline::default();
-        self.samples_dropped = 0;
     }
 
     /// Records ticks observed by the heap between samples (keeps
@@ -454,8 +440,6 @@ mod tests {
         // Three decimations: at pushes 8, 12, and 16 the buffer refills
         // to cap and halves again, dropping 4 each time.
         assert_eq!(tl.samples_dropped(), 12);
-        tl.reset();
-        assert_eq!(tl.samples_dropped(), 0);
     }
 
     #[test]
@@ -510,19 +494,6 @@ mod tests {
         left.merge(&a);
         right.merge(&a);
         assert_eq!(left.to_json().render(), right.to_json().render());
-    }
-
-    #[test]
-    fn reset_restores_initial_interval() {
-        let mut tl = Timeline::new(2, 8);
-        for i in 1..=9u64 {
-            tl.push(HeapGauges::default(), &tick_stats(i), i, 0);
-        }
-        assert!(tl.interval() > 2);
-        tl.reset();
-        assert_eq!(tl.interval(), 2);
-        assert!(tl.is_empty());
-        assert_eq!(tl.ticks(), 0);
     }
 
     #[test]

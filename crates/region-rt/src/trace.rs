@@ -7,9 +7,10 @@
 //! that one stream, selected by one sink mask (see [`sink`]):
 //!
 //! - the [`Tracer`]: a bounded ring of recent raw events plus the exact
-//!   online [`Profile`] fold;
-//! - the [`SpanTree`]: region lifecycles with
-//!   span-scoped aggregates and bounded raw notes;
+//!   online [`Profile`] fold of totals and per-site rows;
+//! - the [`SpanTree`]: region lifecycles with span-scoped aggregates and
+//!   bounded raw notes, the one per-region record (tracing attaches it
+//!   too, and the profile's region views read it);
 //! - the [`CheckCounter`]: per-check-site
 //!   outcome tallies.
 //!
@@ -50,6 +51,7 @@ use crate::timeline::Timeline;
 /// `Heap::enable_*` attach call sets its bit in the heap's sink mask.
 pub mod sink {
     /// The [`Tracer`](super::Tracer): raw-event ring plus profile fold.
+    /// Attaching it also attaches the span tree ([`SPANS`]).
     pub const TRACE: u32 = 1 << 0;
     /// The [`SpanTree`](crate::span::SpanTree): region lifecycle spans.
     pub const SPANS: u32 = 1 << 1;
@@ -240,10 +242,7 @@ pub fn check_kind_name(kind: PtrKind) -> &'static str {
 }
 
 /// The event recorder: a bounded ring of recent raw events plus an
-/// always-exact online [`Profile`] fold. `Clone` exists so a task's
-/// tracer can be preserved un-merged in a
-/// [`TaskReport`](crate::shard::TaskReport) while the original is folded
-/// into the global profile.
+/// always-exact online [`Profile`] fold.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     capacity: usize,
@@ -322,16 +321,13 @@ impl Tracer {
         &self.profile
     }
 
-    /// Folds another tracer's exact profile into this one's, renumbering
-    /// the other side's regions past `region_offset` first (shard →
+    /// Folds another tracer's exact profile into this one's (shard →
     /// global roll-up, see [`crate::shard`]). The raw-event rings are
     /// not merged — recent events stay attributed to their own tracer —
     /// but the recorded/dropped totals sum so coverage accounting stays
     /// exact.
-    pub fn absorb_profile(&mut self, other: &Tracer, region_offset: u32) {
-        let mut p = other.profile.clone();
-        p.offset_regions(region_offset);
-        self.profile = self.profile.merge(&p);
+    pub fn absorb_profile(&mut self, other: &Tracer) {
+        self.profile = self.profile.merge(&other.profile);
         self.recorded += other.recorded;
         self.dropped += other.dropped;
     }
@@ -379,10 +375,7 @@ impl Sinks {
     /// on the schedule that ran them.
     pub fn merge(&mut self, other: Sinks) {
         merge_part(&mut self.spans, other.spans, |a, b| a.merge(b));
-        merge_part(&mut self.tracer, other.tracer, |a, b| {
-            let offset = a.profile().max_region();
-            a.absorb_profile(b, offset);
-        });
+        merge_part(&mut self.tracer, other.tracer, |a, b| a.absorb_profile(b));
         merge_part(&mut self.timeline, other.timeline, |a, b| a.merge(b));
         merge_part(&mut self.check_counts, other.check_counts, |a, b| a.merge(b));
     }
@@ -432,10 +425,14 @@ impl Heap {
     }
 
     /// Attaches a fresh tracer keeping at most `capacity` raw events.
-    /// Replaces any existing tracer.
+    /// Replaces any existing tracer. Attaches the span tree too when none
+    /// is attached: its rows are the profile's per-region record.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.sinks.tracer = Some(Box::new(Tracer::new(capacity)));
         self.sink_mask |= sink::TRACE;
+        if self.sinks.spans.is_none() {
+            self.enable_spans(crate::span::DEFAULT_SPAN_NOTE_CAP);
+        }
     }
 
     /// Attaches a fresh per-check-site counter. Replaces any existing
@@ -544,10 +541,9 @@ pub(crate) mod tests {
     fn sink_mask_tracks_attached_consumers() {
         let mut h = Heap::with_defaults();
         assert_eq!(h.sink_mask, 0);
-        h.enable_tracing(16);
         h.enable_check_counting();
-        assert_eq!(h.sink_mask, sink::TRACE | sink::CHECKS);
-        h.enable_spans(16);
+        assert_eq!(h.sink_mask, sink::CHECKS);
+        h.enable_tracing(16);
         assert_eq!(h.sink_mask, sink::TRACE | sink::SPANS | sink::CHECKS);
         let taken = h.take_sinks();
         assert_eq!(h.sink_mask, 0);

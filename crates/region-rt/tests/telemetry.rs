@@ -132,14 +132,90 @@ fn events_jsonl_round_trip_shape() {
     let mut h = Heap::new(HeapConfig::default());
     h.enable_tracing(4096);
     workout(&mut h);
-    let t = h.take_sinks().tracer.unwrap();
+    let sinks = h.take_sinks();
+    let t = sinks.tracer.unwrap();
     let jsonl = t.events_jsonl("workout");
     assert_eq!(jsonl.lines().count(), t.len());
     for line in jsonl.lines() {
         assert!(line.starts_with(r#"{"run":"workout","ev":""#), "bad line: {line}");
         assert!(line.ends_with('}'));
     }
-    let profile_line = t.profile().to_json("workout").render();
+    let spans = sinks.spans.expect("tracing attaches the span tree");
+    let profile_line = t.profile().to_json("workout", &spans).render();
     assert!(profile_line.contains(r#""kind":"profile""#));
     assert!(!profile_line.contains('\n'));
+}
+
+/// The rendered profile of `workout`, byte for byte.
+#[test]
+fn workout_profile_renders_pinned_bytes() {
+    let mut h = Heap::with_defaults();
+    h.enable_tracing(DEFAULT_RING_CAPACITY);
+    workout(&mut h);
+    let (p, spans) = (h.tracer().unwrap().profile(), h.spans().unwrap());
+    assert_eq!(
+        p.to_json("workout", spans).render(),
+        r#"{"kind":"profile","source":"workout","totals":{"regions_created":2,"subregions_created":1,"regions_deleted":2,"allocs":7,"alloc_words":16,"rc_updates_full":2,"rc_updates_same":1,"checks_sameregion":1,"checks_parentptr":1,"checks_traditional":0,"checks_failed":0,"gc_collections":1,"audit_runs":1,"audit_failures":0,"faults_injected":0},"sites":[{"line":0,"allocs":2,"alloc_words":6,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":10,"allocs":2,"alloc_words":4,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0},{"line":11,"allocs":0,"alloc_words":0,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":3},{"line":12,"allocs":3,"alloc_words":6,"checks_sameregion":1,"checks_parentptr":1,"checks_traditional":0,"checks_failed":0,"rc_updates":0}],"regions":[{"region":0,"parent":null,"created_at":0,"alloc_objects":2,"alloc_words":6,"deleted":false,"live_words_at_delete":0,"lifetime_cycles":0},{"region":1,"parent":0,"created_at":66,"alloc_objects":2,"alloc_words":4,"deleted":true,"live_words_at_delete":4,"lifetime_cycles":1287},{"region":2,"parent":1,"created_at":135,"alloc_objects":3,"alloc_words":6,"deleted":true,"live_words_at_delete":6,"lifetime_cycles":1217}],"lifetime_hist":[0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#
+    );
+    assert_eq!(
+        p.text_report("workout", spans),
+        r#"telemetry profile — workout
+  regions   2 created (1 subregions), 2 deleted
+  allocs    7 objects, 16 words
+  rc        2 full + 1 early-exit updates
+  checks    1 sameregion, 1 parentptr, 0 traditional (0 failed)
+  gc        1 collections
+  audits    1 runs, 0 failures
+  top check sites:
+    workout:12             2 checks (1 sr / 1 pp / 0 trad)
+  top alloc sites:
+    workout:0              6 words in 2 objects
+    workout:12             6 words in 3 objects
+    workout:10             4 words in 2 objects
+  region lifetimes (virtual cycles):
+    [2^10, 2^11)          2  ##############################
+region flamegraph (bar ∝ words allocated in subtree)
+r0 (traditional)                 16 words  ########################################
+  r1 †                           10 words  #########################
+    r2 †                          6 words  ###############
+"#
+    );
+}
+
+/// Tracing attached mid-run: a region created and deleted before the
+/// attach gets no row, and one created before and deleted after it gets
+/// a row with no parent and no creation time; its lifetime still counts.
+#[test]
+fn attaching_mid_run_rows_only_what_the_stream_touched() {
+    let mut h = Heap::with_defaults();
+    let ty = h.register_type(TypeLayout::new("t", vec![SlotKind::Data, SlotKind::Data]));
+    let gone = h.new_region();
+    h.ralloc(gone, ty).unwrap();
+    h.delete_region(gone).unwrap();
+    let late = h.new_region();
+    h.ralloc(late, ty).unwrap();
+    h.enable_tracing(DEFAULT_RING_CAPACITY);
+    h.ralloc(late, ty).unwrap();
+    h.delete_region(late).unwrap();
+    let (p, spans) = (h.tracer().unwrap().profile(), h.spans().unwrap());
+    assert_eq!(
+        p.to_json("late", spans).render(),
+        r#"{"kind":"profile","source":"late","totals":{"regions_created":0,"subregions_created":0,"regions_deleted":1,"allocs":1,"alloc_words":2,"rc_updates_full":0,"rc_updates_same":0,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"gc_collections":0,"audit_runs":0,"audit_failures":0,"faults_injected":0},"sites":[{"line":0,"allocs":1,"alloc_words":2,"checks_sameregion":0,"checks_parentptr":0,"checks_traditional":0,"checks_failed":0,"rc_updates":0}],"regions":[{"region":2,"parent":null,"created_at":0,"alloc_objects":1,"alloc_words":2,"deleted":true,"live_words_at_delete":4,"lifetime_cycles":97}],"lifetime_hist":[0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#
+    );
+    assert_eq!(
+        p.text_report("late", spans),
+        r#"telemetry profile — late
+  regions   0 created (0 subregions), 1 deleted
+  allocs    1 objects, 2 words
+  rc        0 full + 0 early-exit updates
+  checks    0 sameregion, 0 parentptr, 0 traditional (0 failed)
+  top alloc sites:
+    late:0              2 words in 1 objects
+  region lifetimes (virtual cycles):
+    [2^6, 2^7)            1  ##############################
+region flamegraph (bar ∝ words allocated in subtree)
+r0 (traditional)                  2 words  ########################################
+  r2 †                            2 words  ########################################
+"#
+    );
 }

@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The run above was traced; fold the event stream into a per-site
     // profile (see docs/OBSERVABILITY.md).
-    if let Some(profile) = inf.profile() {
+    if let (Some(profile), Some(spans)) = (inf.profile(), inf.spans.as_deref()) {
         println!("\n== Telemetry profile of the same run ==");
-        print!("{}", profile.text_report("figure1"));
+        print!("{}", profile.text_report("figure1", spans));
     }
 
     println!("\n== Same program with annotations ignored (the paper's `nq`) ==");

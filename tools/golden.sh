@@ -2,10 +2,11 @@
 # Writes every deterministic artifact the repository gates on into
 # OUTDIR: the experiments tables and telemetry, the bench trajectory and
 # its bench-diff report, provenance and parallel traces, critical paths,
-# heap snapshots and their diffs, the fault/recovery/parallel matrices
-# and the fuzz report. Every generator that gates (the matrices, critpath,
-# rc-fuzz, the recovery snapshot pair) exits nonzero on a violation, which
-# stops the script with the violations printed above.
+# heap snapshots and their diffs, the fault/recovery/parallel matrices,
+# the ablations' text profiles and the fuzz report. Every generator that
+# gates (the matrices, critpath, rc-fuzz, the recovery snapshot pair)
+# exits nonzero on a violation, which stops the script with the
+# violations printed above.
 #
 # Usage: tools/golden.sh OUTDIR
 #
@@ -67,6 +68,7 @@ done
 (cd "$out" && "$bin/recovery-matrix" --scale 1 --dump-pair . \
     && "$bin/rc-inspect" diff recovery_trap.json recovery_exit.json >recovery_diff.txt)
 
+"$bin/ablations" --scale 1 --profile >"$out/ablations_profile.txt"
 "$bin/rc-fuzz" --seeds 64 --json --no-write >"$out/FUZZ_rc.json"
 
 echo "wrote $(find "$out" -type f | wc -l) files to $out"
